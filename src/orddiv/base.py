@@ -162,5 +162,6 @@ def gamma_exponent(disc: int, d: int, h: int) -> int:
     if d % 2 != 0:
         raise ValueError("gamma_exponent is only defined for even d")
     gamma = max(0, valuation(2, disc) - valuation(2, d) - valuation(2, h))
-    assert gamma <= 2, f"gamma = {gamma} exceeds 2 for disc={disc}, d={d}, h={h}"
+    if gamma > 2:
+        raise ArithmeticError(f"gamma = {gamma} exceeds 2 for disc={disc}, d={d}, h={h}")
     return gamma

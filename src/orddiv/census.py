@@ -15,6 +15,7 @@ fingerprint.  The verification entry points (`verify_key_identity`,
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -50,6 +51,8 @@ __all__ = [
 
 # (p-1)^2 must fit in int64 for the vectorized square-and-multiply.
 _MAX_X_LIMIT = 3_000_000_000
+# verify_key_identity factors p - 1 for every prime up to x.
+_MAX_VERIFY_X = 10_000_000
 
 
 class CheckpointError(RuntimeError):
@@ -108,9 +111,10 @@ class CensusResult:
     segments: tuple[SegmentCount, ...]
 
     def __post_init__(self) -> None:
-        assert self.counted <= self.considered
-        assert sum(s.counted for s in self.segments) == self.counted
-        assert sum(s.considered for s in self.segments) == self.considered
+        totals = (self.counted, self.considered)
+        ledger = (sum(s.counted for s in self.segments), sum(s.considered for s in self.segments))
+        if self.counted > self.considered or ledger != totals:
+            raise ValueError(f"totals {totals} need counted <= considered and segment sums {ledger}")
 
     @property
     def ratio(self) -> Fraction:
@@ -129,7 +133,8 @@ class OrderRecord:
     residual_index: int
 
     def __post_init__(self) -> None:
-        assert self.order * self.residual_index == self.p - 1
+        if self.order * self.residual_index != self.p - 1:
+            raise ValueError(f"order * residual_index is not p - 1 at p = {self.p}")
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +198,17 @@ def order_record(
 # ---------------------------------------------------------------------------
 
 
+def _odd_prime_divisors(g: RationalBase, d: int = 1) -> np.ndarray:
+    """Odd primes dividing g1 * g2 * d, sorted: the primes every count leaves out."""
+    primes = set()
+    for n in (abs(g.g1), g.g2, d):
+        primes.update(factorize(n).primes())
+    primes.discard(2)
+    return np.array(sorted(primes), dtype=np.int64)
+
+
 def _small_primes(limit: int) -> np.ndarray:
-    """Primes up to limit inclusive (plain sieve; limit ~ sqrt(x) stays small)."""
+    """Primes up to limit inclusive (plain sieve; the Python loop runs to sqrt(limit))."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     mask = np.ones(limit + 1, dtype=bool)
@@ -233,15 +247,27 @@ def _powmod_vec(basev: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarr
     result = np.ones_like(mod)
     b = basev % mod
     e = exp.copy()
-    while True:
-        active = e > 0
-        if not active.any():
-            return result
+    while e.any():
         odd = (e & 1).astype(bool)
         result[odd] = result[odd] * b[odd] % mod[odd]
         e >>= 1
         square = e > 0
         b[square] = b[square] * b[square] % mod[square]
+    return result
+
+
+def _mod_vec(n: int, mod: np.ndarray) -> np.ndarray:
+    """Elementwise n % mod for any Python int n (mod < 2^31.5).
+
+    The bits of n above its low k 31-bit limbs fit in int64 and are reduced
+    first; each limb is then folded in by Horner, r = ((r << 31) + limb) % mod,
+    which stays below 2^63.  An int64-sized n takes the single % pass (k = 0).
+    """
+    k = max(0, -(-(n.bit_length() - 63) // 31))
+    r = (n >> (31 * k)) % mod
+    for i in reversed(range(k)):
+        r = ((r << 31) + ((n >> (31 * i)) & 0x7FFF_FFFF)) % mod
+    return r
 
 
 def _valuation_vec(values: np.ndarray, ell: int) -> np.ndarray:
@@ -284,11 +310,9 @@ def _segment_census(
         return 0, considered
     pm1 = pm1[keep]
     valuations = [e[keep] for e in valuations]
-    if g2 == 1:
-        gbar = g1 % ps
-    else:
-        inv = _powmod_vec(np.full_like(ps, g2) % ps, ps - 2, ps)
-        gbar = (g1 % ps) * inv % ps
+    gbar = _mod_vec(g1, ps)
+    if g2 != 1:
+        gbar = gbar * _powmod_vec(_mod_vec(g2, ps), ps - 2, ps) % ps
     hit = np.ones(ps.size, dtype=bool)
     for (ell, a), e in zip(d_factors, valuations):
         exponent = pm1 // ell ** (e - a + 1)
@@ -314,36 +338,44 @@ def _segment_task(bounds: tuple[int, int]) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _load_checkpoint(path, fingerprint: str) -> dict[tuple[int, int], tuple[int, int]]:
+def _load_checkpoint(path, fingerprint: str) -> tuple[dict[tuple[int, int], tuple[int, int]], int]:
+    """Finished segments recorded at path, and the byte length of its complete lines.
+
+    Each record is written together with its newline, so a final line without
+    one is a write cut short by a kill: it is left out here, and cut off before
+    the run appends.  Any bad newline-terminated line aborts.
+    """
     done: dict[tuple[int, int], tuple[int, int]] = {}
     if not os.path.exists(path):
-        return done
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                key = (int(record["segment_start"]), int(record["segment_end"]))
-                counts = (int(record["counted"]), int(record["considered"]))
-                seen_fp = record["config_fingerprint"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise CheckpointError(f"{path}: line {lineno} is not a valid record: {exc}")
-            if seen_fp != fingerprint:
-                raise CheckpointError(
-                    f"{path}: line {lineno} fingerprint {seen_fp!r} does not match "
-                    f"current configuration {fingerprint!r}"
-                )
-            if key in done and done[key] != counts:
-                raise CheckpointError(
-                    f"{path}: conflicting counts for segment {key}: {done[key]} vs {counts}"
-                )
-            done[key] = counts
-    return done
+        return done, 0
+    with open(path, "rb") as fh:
+        data = fh.read()
+    complete = data[: data.rfind(b"\n") + 1]
+    for lineno, line in enumerate(complete.decode("utf-8").splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+            key = (int(record["segment_start"]), int(record["segment_end"]))
+            counts = (int(record["counted"]), int(record["considered"]))
+            seen_fp = record["config_fingerprint"]
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: line {lineno} is not a valid record: {exc}")
+        if seen_fp != fingerprint:
+            raise CheckpointError(
+                f"{path}: line {lineno} fingerprint {seen_fp!r} does not match "
+                f"current configuration {fingerprint!r}"
+            )
+        if key in done and done[key] != counts:
+            raise CheckpointError(
+                f"{path}: conflicting counts for segment {key}: {done[key]} vs {counts}"
+            )
+        done[key] = counts
+    return done, len(complete)
 
 
-def _append_checkpoint(path, seg: SegmentCount, fingerprint: str) -> None:
+def _append_checkpoint(fh, seg: SegmentCount, fingerprint: str) -> None:
     record = {
         "segment_start": seg.start,
         "segment_end": seg.end,
@@ -351,9 +383,8 @@ def _append_checkpoint(path, seg: SegmentCount, fingerprint: str) -> None:
         "considered": seg.considered,
         "config_fingerprint": fingerprint,
     }
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record) + "\n")
-        fh.flush()
+    fh.write(json.dumps(record) + "\n")
+    fh.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -366,26 +397,23 @@ def run_census(config: CensusConfig) -> CensusResult:
 
     Totals are exact and identical for any worker_count / segment_size
     split.  With a checkpoint path, finished segments are appended as JSON
-    lines and skipped on resume (fingerprint-validated; on any inconsistency
-    the run aborts rather than recounting).
+    lines and skipped on resume (fingerprint-validated; a final line torn by
+    a kill is dropped and its segment recounted, and on any other
+    inconsistency the run aborts rather than recounting).
     """
-    g = config.g
-    base_primes = _small_primes(math.isqrt(config.x_limit))
-    bad = sorted(
-        (set(factorize(abs(g.g1)).primes()) | set(factorize(g.g2).primes())) - {2}
-    )
     state = {
-        "base_primes": base_primes,
-        "g1": g.g1,
-        "g2": g.g2,
+        "base_primes": _small_primes(math.isqrt(config.x_limit)),
+        "g1": config.g.g1,
+        "g2": config.g.g2,
         "d_factors": factorize(config.d).factors if config.d > 1 else (),
-        "excluded": np.asarray(bad, dtype=np.int64),
+        "excluded": _odd_prime_divisors(config.g),
     }
     segments = config.segments()
     done: dict[tuple[int, int], tuple[int, int]] = {}
+    complete_bytes = 0
     expected = set(segments)
     if config.checkpoint_path is not None:
-        done = _load_checkpoint(config.checkpoint_path, config.fingerprint)
+        done, complete_bytes = _load_checkpoint(config.checkpoint_path, config.fingerprint)
         for key in done:
             if key not in expected:
                 raise CheckpointError(
@@ -393,36 +421,29 @@ def run_census(config: CensusConfig) -> CensusResult:
                     f"segmentation of x_limit={config.x_limit}"
                 )
     pending = [seg for seg in segments if seg not in done]
-    results: dict[tuple[int, int], tuple[int, int]] = dict(done)
-    if config.worker_count == 1 or len(pending) <= 1:
-        _init_worker(state)
-        for seg in pending:
-            counts = _segment_task(seg)
-            results[seg] = counts
-            if config.checkpoint_path is not None:
-                _append_checkpoint(
-                    config.checkpoint_path,
-                    SegmentCount(seg[0], seg[1], *counts),
-                    config.fingerprint,
+    with contextlib.ExitStack() as stack:
+        if config.worker_count == 1 or len(pending) <= 1:
+            _init_worker(state)
+            compute = map
+        else:
+            compute = stack.enter_context(
+                ProcessPoolExecutor(
+                    max_workers=config.worker_count,
+                    initializer=_init_worker,
+                    initargs=(state,),
                 )
-    else:
-        with ProcessPoolExecutor(
-            max_workers=config.worker_count,
-            initializer=_init_worker,
-            initargs=(state,),
-        ) as pool:
-            futures = {seg: pool.submit(_segment_task, seg) for seg in pending}
-            for seg in pending:
-                counts = futures[seg].result()
-                results[seg] = counts
-                if config.checkpoint_path is not None:
-                    _append_checkpoint(
-                        config.checkpoint_path,
-                        SegmentCount(seg[0], seg[1], *counts),
-                        config.fingerprint,
-                    )
+            ).map
+        log = None
+        if config.checkpoint_path is not None and pending:
+            log = stack.enter_context(open(config.checkpoint_path, "a", encoding="utf-8"))
+            log.truncate(complete_bytes)
+        # Executor.map submits every segment up front and yields in order.
+        for seg, counts in zip(pending, compute(_segment_task, pending)):
+            done[seg] = counts
+            if log is not None:
+                _append_checkpoint(log, SegmentCount(seg[0], seg[1], *counts), config.fingerprint)
     ordered = tuple(
-        SegmentCount(lo, hi, *results[(lo, hi)]) for lo, hi in segments
+        SegmentCount(lo, hi, *done[(lo, hi)]) for lo, hi in segments
     )
     return CensusResult(
         counted=sum(s.counted for s in ordered),
@@ -453,13 +474,21 @@ class KeyIdentityReport:
 
 
 def _spf_sieve(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table up to limit."""
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    spf[1] = 1
-    for p in range(2, limit + 1):
-        if spf[p] == 0:
-            spf[p : limit + 1 : p][spf[p : limit + 1 : p] == 0] = p
+    """Smallest-prime-factor table up to limit (spf[0] = 0, spf[1] = 1).
+
+    Primes are written in descending order, so the smallest one marking a
+    composite is the last write; every composite n has spf(n)^2 <= n.
+    """
+    spf = np.arange(limit + 1, dtype=np.int64)
+    for p in _small_primes(math.isqrt(limit))[::-1].tolist():
+        spf[p * p :: p] = p
     return spf
+
+
+def _coprime_odd_primes(x: int, excluded: np.ndarray) -> list[int]:
+    """Odd primes p <= x outside excluded, as Python ints for the per-prime verifiers."""
+    ps = _small_primes(x)[1:]
+    return ps[~np.isin(ps, excluded)].tolist()
 
 
 def _factor_with_spf(n: int, spf: np.ndarray) -> Factorization:
@@ -475,11 +504,7 @@ def _factor_with_spf(n: int, spf: np.ndarray) -> Factorization:
 
 
 def verify_key_identity(
-    g: RationalBase | int | str | Fraction,
-    d: int,
-    x: int,
-    *,
-    max_x: int = 10_000_000,
+    g: RationalBase | int | str | Fraction, d: int, x: int
 ) -> KeyIdentityReport:
     """Check the exact finite-x identity between the direct order count and
     the Mobius-weighted residual-index census.
@@ -490,22 +515,14 @@ def verify_key_identity(
     both sides.  Exact integer equality is expected for every input.
     """
     base = as_base(g)
-    if x > max_x:
-        raise ValueError(f"x={x} beyond factoring budget {max_x}")
-    bad = set(factorize(abs(base.g1)).primes())
-    bad |= set(factorize(base.g2).primes())
-    bad |= set(factorize(d).primes()) if d > 1 else set()
-    bad.add(2)
+    if x > _MAX_VERIFY_X:
+        raise ValueError(f"x={x} beyond factoring budget {_MAX_VERIFY_X}")
     spf = _spf_sieve(max(x, 3))
-    primes = np.flatnonzero(spf[2:] == np.arange(2, len(spf))) + 2
-    primes = primes[primes <= x]
     vs = divisors_of_dinfty(d, max(1, (x - 1) // d))
     alphas = squarefree_divisors(d)
     lhs = 0
     blocks = {v: 0 for v in vs}
-    for p in primes.tolist():
-        if p in bad:
-            continue
+    for p in _coprime_odd_primes(x, _odd_prime_divisors(base, d)):
         rec = order_record(base, p, _factor_with_spf(p - 1, spf))
         if rec.order % d == 0:
             lhs += 1
@@ -532,13 +549,7 @@ def verify_order_flip(g: RationalBase | int | str | Fraction, x: int) -> bool:
     if base.g1 < 0:
         raise ValueError("verify_order_flip requires g > 0")
     spf = _spf_sieve(max(x, 3))
-    primes = np.flatnonzero(spf[2:] == np.arange(2, len(spf))) + 2
-    primes = primes[primes <= x]
-    bad = set(factorize(abs(base.g1)).primes()) | set(factorize(base.g2).primes())
-    bad.add(2)
-    for p in primes.tolist():
-        if p in bad:
-            continue
+    for p in _coprime_odd_primes(x, _odd_prime_divisors(base)):
         fact = _factor_with_spf(p - 1, spf)
         gbar = reduce_mod_p(base, p)
         o = full_order(p, gbar, fact)

@@ -58,13 +58,28 @@ def _positive_int(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# renderers
+# subcommands: each builds its rows, text lines and JSON document for _emit
 # ---------------------------------------------------------------------------
 
 
-def _density_payload(report) -> dict:
+def _emit(fmt: str, rows: list[dict], text: list[str], doc: dict | None = None) -> None:
+    """Print rows as CSV, doc (by default the single row) as JSON, or the text lines."""
+    if fmt == "json":
+        print(json.dumps(rows[0] if doc is None else doc, indent=2))
+    elif fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        print(buf.getvalue().rstrip("\n"))
+    else:
+        print("\n".join(text))
+
+
+def _density_command(args) -> int:
+    report = density(args.g, args.d)
     dec = report.decomposition
-    return {
+    payload = {
         "g": str(dec.base),
         "d": report.d,
         "g0": f"{dec.g0_num}/{dec.g0_den}" if dec.g0_den != 1 else str(dec.g0_num),
@@ -77,14 +92,6 @@ def _density_payload(report) -> dict:
         "delta": str(report.delta),
         "delta_decimal": decimal_string(report.delta),
     }
-
-
-def render_density(report, fmt: str) -> str:
-    payload = _density_payload(report)
-    if fmt == "json":
-        return json.dumps(payload, indent=2)
-    if fmt == "csv":
-        return _csv_table([payload])
     lines = [
         f"g        = {payload['g']}",
         f"d        = {payload['d']}",
@@ -95,13 +102,14 @@ def render_density(report, fmt: str) -> str:
         f"S(d,h)   = {payload['s_factor']}",
         f"delta    = {payload['delta']} = {payload['delta_decimal']}",
     ]
-    return "\n".join(lines)
+    _emit(args.format, [payload], lines)
+    return 0
 
 
-def render_table(which: int, fmt: str) -> str:
+def _table_command(args) -> int:
     rows = []
     notes_used = []
-    for row in table_rows(which):
+    for row in table_rows(args.which):
         rows.append(
             {
                 "g": row.g,
@@ -118,13 +126,6 @@ def render_table(which: int, fmt: str) -> str:
         )
         if row.footnote:
             notes_used.append(row.footnote)
-    if fmt == "json":
-        return json.dumps(
-            {"table": which, "rows": rows, "footnotes": {k: FOOTNOTES[k] for k in notes_used}},
-            indent=2,
-        )
-    if fmt == "csv":
-        return _csv_table(rows)
     header = f"{'g':>4} {'g0':>4} {'h':>2} {'disc':>5} {'d':>3} {'eps1':>6} {'delta':>7} {'decimal':>11} {'full-scale':>11}"
     lines = [header, "-" * len(header)]
     for r in rows:
@@ -135,10 +136,14 @@ def render_table(which: int, fmt: str) -> str:
         )
     for key in notes_used:
         lines.append(f"* {key}: {FOOTNOTES[key]}")
-    return "\n".join(lines)
+    doc = {"table": args.which, "rows": rows, "footnotes": {k: FOOTNOTES[k] for k in notes_used}}
+    _emit(args.format, rows, lines, doc)
+    return 0
 
 
-def render_oracle(estimate, delta: Fraction, fmt: str) -> tuple[str, bool]:
+def _oracle_command(args) -> int:
+    estimate = series_partial(args.g, args.d, args.vmax)
+    delta = density(args.g, args.d).delta
     ok = estimate.partial <= delta <= estimate.partial + estimate.tail_bound
     payload = {
         "d": estimate.d,
@@ -150,49 +155,52 @@ def render_oracle(estimate, delta: Fraction, fmt: str) -> tuple[str, bool]:
         "delta_decimal": decimal_string(delta),
         "bracket": "PASS" if ok else "FAIL",
     }
-    if fmt == "json":
-        payload["blocks"] = [{"v": v, "block": str(b)} for v, b in estimate.blocks]
-        return json.dumps(payload, indent=2), ok
-    if fmt == "csv":
-        return _csv_table([payload]), ok
     lines = [
         f"partial    = {payload['partial']} = {payload['partial_decimal']}  (over {len(estimate.blocks)} blocks, vmax={estimate.vmax})",
         f"tail bound ~ {float(estimate.tail_bound):.3e}",
         f"delta      = {payload['delta']} = {payload['delta_decimal']}",
         f"bracket    = {payload['bracket']}",
     ]
-    return "\n".join(lines), ok
+    blocks = [{"v": v, "block": str(b)} for v, b in estimate.blocks]
+    _emit(args.format, [payload], lines, {**payload, "blocks": blocks})
+    return 0 if ok else 1
 
 
-def render_census(result, g: RationalBase, d: int, x: int, fmt: str) -> str:
-    delta = density(g, d).delta
+def _census_command(args) -> int:
+    config = CensusConfig(
+        g=args.g,
+        d=args.d,
+        x_limit=args.x,
+        segment_size=args.segment_size,
+        worker_count=args.threads,
+        checkpoint_path=args.checkpoint,
+    )
+    result = run_census(config)
+    delta = density(args.g, args.d).delta
     ratio = result.ratio
     payload = {
-        "g": str(g),
-        "d": d,
-        "x": x,
+        "g": str(args.g),
+        "d": args.d,
+        "x": args.x,
         "counted": result.counted,
         "considered": result.considered,
         "ratio": decimal_string(ratio),
         "delta_exact": str(delta),
         "abs_error": decimal_string(abs(ratio - delta)),
     }
-    if fmt == "json":
-        return json.dumps(payload, indent=2)
-    if fmt == "csv":
-        return _csv_table([payload])
-    return "\n".join(
-        [
-            f"counted    = {payload['counted']}",
-            f"considered = {payload['considered']}",
-            f"ratio      = {payload['ratio']}",
-            f"delta      = {payload['delta_exact']} = {decimal_string(delta)}",
-            f"|ratio-delta| = {payload['abs_error']}",
-        ]
-    )
+    lines = [
+        f"counted    = {payload['counted']}",
+        f"considered = {payload['considered']}",
+        f"ratio      = {payload['ratio']}",
+        f"delta      = {payload['delta_exact']} = {decimal_string(delta)}",
+        f"|ratio-delta| = {payload['abs_error']}",
+    ]
+    _emit(args.format, [payload], lines)
+    return 0
 
 
-def render_verify(report, fmt: str) -> tuple[str, bool]:
+def _verify_command(args) -> int:
+    report = verify_key_identity(args.g, args.d, args.x)
     payload = {
         "g": str(report.g),
         "d": report.d,
@@ -201,27 +209,15 @@ def render_verify(report, fmt: str) -> tuple[str, bool]:
         "rhs": report.rhs,
         "result": "PASS" if report.holds else "FAIL",
     }
-    if fmt == "json":
-        payload["blocks"] = [{"v": v, "count": c} for v, c in report.blocks]
-        return json.dumps(payload, indent=2), report.holds
-    if fmt == "csv":
-        return _csv_table([payload]), report.holds
     lines = [
         f"lhs (direct count of d | ord) = {report.lhs}",
         f"rhs (Mobius-weighted census)  = {report.rhs}",
         "blocks: " + "  ".join(f"v={v}:{c}" for v, c in report.blocks),
         f"result = {payload['result']}",
     ]
-    return "\n".join(lines), report.holds
-
-
-def _csv_table(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue().rstrip("\n")
+    blocks = [{"v": v, "count": c} for v, c in report.blocks]
+    _emit(args.format, [payload], lines, {**payload, "blocks": blocks})
+    return 0 if report.holds else 1
 
 
 # ---------------------------------------------------------------------------
@@ -236,80 +232,56 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_g=True, need_d=True):
-        if need_g:
-            p.add_argument("-g", type=_parse_g, required=True,
-                           help="rational base, e.g. 2, -9, or 8/27")
-        if need_d:
-            p.add_argument("-d", type=_positive_int, required=True)
+    def add_common(p):
+        p.add_argument("-g", type=_parse_g, required=True,
+                       help="rational base, e.g. 2, -9, or 8/27")
+        p.add_argument("-d", type=_positive_int, required=True)
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
     p_density = sub.add_parser("density", help="exact closed-form density")
     add_common(p_density)
+    p_density.set_defaults(run=_density_command)
 
     p_table = sub.add_parser("table", help="bundled reference tables")
     p_table.add_argument("which", type=int, choices=(2, 3))
     p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    p_table.set_defaults(run=_table_command)
 
     p_oracle = sub.add_parser("oracle", help="degree-series bracket vs closed form")
     add_common(p_oracle)
     p_oracle.add_argument("--vmax", type=_positive_int, default=2**16)
+    p_oracle.set_defaults(run=_oracle_command)
 
     p_census = sub.add_parser("census", help="prime census of d | ord_p(g)")
     add_common(p_census)
     p_census.add_argument("-x", type=_positive_int, required=True)
+    # a string default goes through type= only when census parses, so a bad
+    # value is a usage error of census alone
     p_census.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=int(os.environ.get("ORDDIV_THREADS", "1")),
+        "--threads", type=_positive_int, default=os.environ.get("ORDDIV_THREADS", "1")
     )
     p_census.add_argument("--segment-size", type=_positive_int, default=10_000_000)
     p_census.add_argument("--checkpoint", default=None)
+    p_census.set_defaults(run=_census_command)
 
     p_verify = sub.add_parser("verify", help="finite-x counting identity check")
     add_common(p_verify)
     p_verify.add_argument("-x", type=_positive_int, required=True)
+    p_verify.set_defaults(run=_verify_command)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "density":
-            print(render_density(density(args.g, args.d), args.format))
-            return 0
-        if args.command == "table":
-            print(render_table(args.which, args.format))
-            return 0
-        if args.command == "oracle":
-            estimate = series_partial(args.g, args.d, args.vmax)
-            text, ok = render_oracle(estimate, density(args.g, args.d).delta, args.format)
-            print(text)
-            return 0 if ok else 1
-        if args.command == "census":
-            config = CensusConfig(
-                g=args.g,
-                d=args.d,
-                x_limit=args.x,
-                segment_size=args.segment_size,
-                worker_count=args.threads,
-                checkpoint_path=args.checkpoint,
-            )
-            print(render_census(run_census(config), args.g, args.d, args.x, args.format))
-            return 0
-        if args.command == "verify":
-            text, ok = render_verify(verify_key_identity(args.g, args.d, args.x), args.format)
-            print(text)
-            return 0 if ok else 1
+        return args.run(args)
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

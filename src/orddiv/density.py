@@ -55,8 +55,10 @@ class DensityReport:
     delta: Fraction
 
     def __post_init__(self) -> None:
-        assert self.delta == self.epsilon1 * self.s_factor
-        assert 0 < self.delta <= 1, f"density {self.delta} out of range"
+        if self.delta != self.epsilon1 * self.s_factor:
+            raise ValueError(f"delta {self.delta} is not epsilon1 * S = {self.epsilon1 * self.s_factor}")
+        if not 0 < self.delta <= 1:
+            raise ValueError(f"density {self.delta} out of range")
 
 
 def s_factor(d: int, h: int) -> Fraction:

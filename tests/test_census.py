@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import orddiv
 from orddiv.arith import factorize
 from orddiv.base import RationalBase
 from orddiv.census import (
@@ -12,6 +16,7 @@ from orddiv.census import (
     OrderRecord,
     _primes_in_segment,
     _small_primes,
+    _spf_sieve,
     full_order,
     order_divisible,
     order_record,
@@ -80,6 +85,12 @@ class TestSieve:
             collected.extend(int(p) for p in _primes_in_segment(lo, hi, base))
         assert collected == whole
 
+    def test_spf_matches_trial_division(self):
+        spf = _spf_sieve(5000)
+        assert spf[:2].tolist() == [0, 1]
+        for n in range(2, 5001):
+            assert spf[n] == next(q for q in range(2, n + 1) if n % q == 0)
+
 
 class TestRunCensus:
     def test_hand_enumeration(self):
@@ -138,6 +149,22 @@ class TestRunCensus:
         assert all((2 * d) % key == 0 for key in classes)
         from_classes = sum(c for key, c in classes.items() if key % d == 0)
         assert from_classes == result.counted
+
+    @pytest.mark.parametrize("g", [Fraction(2**70 + 1), Fraction(-(3**45), 2**64)])
+    @pytest.mark.parametrize("d", [2, 12])
+    def test_bases_beyond_int64(self, g, d):
+        # |g1| and g2 past 2^63 must reduce modulo each prime exactly
+        x = 20_000
+        counted = considered = 0
+        for p in (int(q) for q in _small_primes(x) if q > 2):
+            try:
+                gbar = reduce_mod_p(g, p)
+            except ValueError:
+                continue
+            considered += 1
+            counted += order_divisible(p, gbar, factorize(d))
+        result = run_census(CensusConfig(RationalBase.from_value(g), d, x, segment_size=10**4))
+        assert (result.counted, result.considered) == (counted, considered)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -205,6 +232,40 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             run_census(self._config(path))
 
+    def test_torn_last_line_resumes(self, tmp_path):
+        path = tmp_path / "census.jsonl"
+        full = run_census(self._config(path))
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:2]) + lines[2][: len(lines[2]) // 2])
+        resumed = run_census(self._config(path))
+        assert (resumed.counted, resumed.considered) == (full.counted, full.considered)
+        records = path.read_text().splitlines()
+        assert len(records) == 5
+        assert [json.loads(r)["segment_start"] for r in records] == [
+            s.start for s in full.segments
+        ]
+
+    @pytest.mark.parametrize("pending", [0, 1, 4])
+    def test_pool_checkpoint_matches_serial(self, tmp_path, pending):
+        serial_path, pool_path = tmp_path / "serial.jsonl", tmp_path / "pool.jsonl"
+
+        def config(path, workers):
+            return CensusConfig(
+                RationalBase(2, 1), 2, 50_000, segment_size=10**4,
+                worker_count=workers, checkpoint_path=path,
+            )
+
+        fresh = run_census(config(serial_path, 1))
+        run_census(config(pool_path, 2))
+        written = serial_path.read_bytes()
+        assert pool_path.read_bytes() == written
+        kept = written.splitlines(keepends=True)[: 5 - pending]
+        pool_path.write_bytes(b"".join(kept))
+        resumed = run_census(config(pool_path, 2))
+        assert (resumed.counted, resumed.considered) == (fresh.counted, fresh.considered)
+        assert resumed.segments == fresh.segments
+        assert pool_path.read_bytes() == written
+
     def test_foreign_segmentation_aborts(self, tmp_path):
         path = tmp_path / "census.jsonl"
         record = {
@@ -265,5 +326,17 @@ class TestOrderFlip:
 
 class TestOrderRecordType:
     def test_invariant_enforced(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             OrderRecord(p=7, gbar=2, order=3, residual_index=3)
+
+    def test_invariants_survive_optimize(self):
+        # python -O strips assert statements; the invariants must not go with them
+        code = (
+            "from orddiv.census import CensusResult\n"
+            "CensusResult(counted=5, considered=3, segments=())"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orddiv.__file__)))
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 1
+        assert "ValueError" in run.stderr

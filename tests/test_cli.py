@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import orddiv
 from orddiv.cli import decimal_string, main
 from orddiv.density import density
 from orddiv.tables import TABLE_NEGATIVE, TABLE_POSITIVE
@@ -52,6 +56,22 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "partial    = 45/64" in out
         assert "bracket    = PASS" in out
+
+    def test_bad_threads_env(self):
+        # a garbage ORDDIV_THREADS is a usage error of census alone
+        env = dict(os.environ, ORDDIV_THREADS="abc",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(orddiv.__file__)))
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "orddiv.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+
+        census = run("census", "-g", "2", "-d", "2", "-x", "100")
+        assert census.returncode == 2
+        assert "Traceback" not in census.stderr
+        assert census.stderr.startswith("usage:")
+        assert "error: argument --threads" in census.stderr
+        assert run("density", "-g", "2", "-d", "2").returncode == 0
 
     def test_checkpoint_mismatch_is_one(self, tmp_path, capsys):
         path = tmp_path / "cp.jsonl"
