@@ -40,7 +40,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -114,12 +114,6 @@ class Factorization:
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
-
-    def exponent(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
 
     @property
     def omega(self) -> int:

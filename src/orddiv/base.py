@@ -119,10 +119,7 @@ def discriminant_of_sqrt(g0_num: int, g0_den: int) -> int:
         raise ValueError("discriminant_of_sqrt requires a positive rational")
     if math.gcd(g0_num, g0_den) != 1:
         raise ValueError("g0 must be reduced")
-    k = squarefree_part(g0_num) * squarefree_part(g0_den)
-    if k == 1:
-        raise ValueError("g0 is a perfect square; the field collapses to Q")
-    return k if k % 4 == 1 else 4 * k
+    return fundamental_discriminant(Fraction(g0_num, g0_den))
 
 
 def fundamental_discriminant(value: Fraction | int) -> int:
@@ -141,15 +138,11 @@ def fundamental_discriminant(value: Fraction | int) -> int:
 def is_fundamental_discriminant(d: int) -> bool:
     """Whether d is the discriminant of a quadratic field (1 counts as trivial)."""
     if d % 4 == 1:
-        return _is_squarefree_signed(d)
+        return factorize(abs(d)).is_squarefree
     if d % 4 == 0:
         k = d // 4
-        return k % 4 in (2, 3) and _is_squarefree_signed(k)
+        return k % 4 in (2, 3) and factorize(abs(k)).is_squarefree
     return False
-
-
-def _is_squarefree_signed(n: int) -> bool:
-    return factorize(abs(n)).is_squarefree
 
 
 def gamma_exponent(disc: int, d: int, h: int) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -30,6 +31,7 @@ from .arith import (
     divisors_of_dinfty,
     factorize,
     squarefree_divisors,
+    valuation,
 )
 from .base import RationalBase, as_base
 
@@ -48,6 +50,8 @@ __all__ = [
     "KeyIdentityReport",
     "verify_order_flip",
 ]
+
+logger = logging.getLogger(__name__)
 
 # (p-1)^2 must fit in int64 for the vectorized square-and-multiply.
 _MAX_X_LIMIT = 3_000_000_000
@@ -162,11 +166,7 @@ def order_divisible(p: int, gbar: int, d_factored: Factorization) -> bool:
     if pm1 % d_factored.value != 0:
         return False
     for ell, a in d_factored.factors:
-        e = 0
-        t = pm1
-        while t % ell == 0:
-            t //= ell
-            e += 1
+        e = valuation(ell, pm1)
         if e < a:
             return False
         if pow(gbar, pm1 // ell ** (e - a + 1), p) == 1:
@@ -342,25 +342,34 @@ def _load_checkpoint(path, fingerprint: str) -> tuple[dict[tuple[int, int], tupl
     """Finished segments recorded at path, and the byte length of its complete lines.
 
     Each record is written together with its newline, so a final line without
-    one is a write cut short by a kill: it is left out here, and cut off before
-    the run appends.  Any bad newline-terminated line aborts.
+    one is a write cut short by a kill: it is left out here with a warning, and
+    cut off before the run appends.  Any bad newline-terminated line, and a
+    path that cannot be read, aborts with CheckpointError.
     """
     done: dict[tuple[int, int], tuple[int, int]] = {}
-    if not os.path.exists(path):
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
         return done, 0
-    with open(path, "rb") as fh:
-        data = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read the checkpoint: {exc.strerror}") from None
     complete = data[: data.rfind(b"\n") + 1]
-    for lineno, line in enumerate(complete.decode("utf-8").splitlines(), start=1):
+    if len(data) > len(complete):
+        logger.warning(
+            "%s: dropped a torn final line of %d bytes; its segment is recounted",
+            path, len(data) - len(complete),
+        )
+    for lineno, line in enumerate(complete.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            record = json.loads(line)
+            record = json.loads(line.decode("utf-8"))
             key = (int(record["segment_start"]), int(record["segment_end"]))
             counts = (int(record["counted"]), int(record["considered"]))
             seen_fp = record["config_fingerprint"]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: line {lineno} is not a valid record: {exc}")
         if seen_fp != fingerprint:
             raise CheckpointError(
@@ -422,6 +431,15 @@ def run_census(config: CensusConfig) -> CensusResult:
                 )
     pending = [seg for seg in segments if seg not in done]
     with contextlib.ExitStack() as stack:
+        log = None
+        if config.checkpoint_path is not None and pending:
+            try:
+                log = stack.enter_context(open(config.checkpoint_path, "a", encoding="utf-8"))
+            except OSError as exc:
+                raise CheckpointError(
+                    f"{config.checkpoint_path}: cannot append to the checkpoint: {exc.strerror}"
+                ) from None
+            log.truncate(complete_bytes)
         if config.worker_count == 1 or len(pending) <= 1:
             _init_worker(state)
             compute = map
@@ -433,10 +451,6 @@ def run_census(config: CensusConfig) -> CensusResult:
                     initargs=(state,),
                 )
             ).map
-        log = None
-        if config.checkpoint_path is not None and pending:
-            log = stack.enter_context(open(config.checkpoint_path, "a", encoding="utf-8"))
-            log.truncate(complete_bytes)
         # Executor.map submits every segment up front and yields in order.
         for seg, counts in zip(pending, compute(_segment_task, pending)):
             done[seg] = counts

@@ -51,10 +51,20 @@ def _parse_g(text: str) -> RationalBase:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
     return value
+
+
+def _thread_count(text: str) -> int:
+    try:
+        return _positive_int(text)
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"{exc} (the default comes from ORDDIV_THREADS)")
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # a string default goes through type= only when census parses, so a bad
     # value is a usage error of census alone
     p_census.add_argument(
-        "--threads", type=_positive_int, default=os.environ.get("ORDDIV_THREADS", "1")
+        "--threads", type=_thread_count, default=os.environ.get("ORDDIV_THREADS", "1")
     )
     p_census.add_argument("--segment-size", type=_positive_int, default=10_000_000)
     p_census.add_argument("--checkpoint", default=None)

@@ -25,10 +25,7 @@ __all__ = [
     "epsilon1",
     "density",
     "density_by_transfer",
-    "CASE_LABELS",
 ]
-
-CASE_LABELS = ("odd-d", "2||d-no-disc", "2||d-disc", "4|d-no-disc", "4|d-disc")
 
 # Correction entry by (sign of g, gamma); gamma is the 2-adic exponent
 # max(0, v2(disc/(d*h))).  For positive g this equals (-1/2)^(2^gamma).
@@ -80,10 +77,6 @@ def epsilon_table(sign: int, gamma: int) -> Fraction:
     return _EPSILON_TABLE[(sign, gamma)]
 
 
-def _disc_divides_4d(disc: int, d: int) -> bool:
-    return (4 * d) % abs(disc) == 0
-
-
 def _epsilon1_parts(
     decomposition: BaseDecomposition, d: int
 ) -> tuple[Fraction, str, int | None]:
@@ -95,7 +88,7 @@ def _epsilon1_parts(
     h = decomposition.h
     if d % 2 == 1:
         return Fraction(1), "odd-d", None
-    disc_div = _disc_divides_4d(disc, d)
+    disc_div = (4 * d) % abs(disc) == 0
     if valuation(2, d) == 1:
         # the sign-dependent term vanishes unless g < 0 and h is even
         middle = Fraction(3 * (1 - sign) * (2**decomposition.v2_h - 1), 4)

@@ -11,6 +11,7 @@ as literal truncations and in closed form.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,12 +27,12 @@ from .base import (
     RationalBase,
     as_base,
     decompose,
+    gamma_exponent,
     is_fundamental_discriminant,
 )
-from .density import s_factor
+from .density import epsilon_table, s_factor
 
 __all__ = [
-    "DegreeParams",
     "degree_params",
     "degree",
     "SeriesEstimate",
@@ -47,43 +48,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DegreeParams:
-    """2-adic correction data for the degree formula of one decomposition.
-
-    ``m`` is the threshold modulus governing when the degree drops by a
-    factor of 2; ``n_for_v2`` gives the per-r threshold n_r, which depends
-    on r only through its 2-adic valuation.
-    """
-
-    decomposition: BaseDecomposition
-    m: int
-
-    def n_for_v2(self, v2_r: int, r_odd_negative_case: bool) -> int:
-        if r_odd_negative_case:
-            return self.m
-        two_part = 2 ** (self.decomposition.v2_h + v2_r + 1)
-        return math.lcm(two_part, abs(self.decomposition.disc))
-
-    @property
-    def n_table(self) -> dict[int, int]:
-        """n_r for the first few v2(r) classes (diagnostic view)."""
-        neg = self.decomposition.sign < 0
-        return {
-            j: self.n_for_v2(j, r_odd_negative_case=(neg and j == 0))
-            for j in range(5)
-        }
-
-
 @lru_cache(maxsize=None)
-def degree_params(decomposition: BaseDecomposition) -> DegreeParams:
+def degree_params(decomposition: BaseDecomposition) -> int:
+    """Threshold modulus m: for g < 0 and odd r the degree halves when m | kr."""
     disc = abs(decomposition.disc)
     v2h = decomposition.v2_h
     if (v2h == 0 and disc % 8 == 4) or (v2h == 1 and disc % 8 == 0):
-        m = disc // 2
-    else:
-        m = math.lcm(2 ** (v2h + 2), disc)
-    return DegreeParams(decomposition=decomposition, m=m)
+        return disc // 2
+    return math.lcm(2 ** (v2h + 2), disc)
+
+
+def _halving_threshold(h: int, r: int, disc: int) -> int:
+    """n_r = lcm(2^(v2(h r)+1), |disc|): the degree halves at kr when n_r | kr."""
+    return math.lcm(2 ** (valuation(2, h * r) + 1), abs(disc))
 
 
 def degree(kr: int, k: int, decomposition: BaseDecomposition) -> int:
@@ -95,19 +72,16 @@ def degree(kr: int, k: int, decomposition: BaseDecomposition) -> int:
     if k < 1 or kr % k != 0:
         raise ValueError(f"degree requires k | kr, got kr={kr}, k={k}")
     r = kr // k
-    params = degree_params(decomposition)
     h = decomposition.h
-    negative = decomposition.sign < 0
-    if negative and r % 2 == 1:
-        n_r = params.n_for_v2(0, r_odd_negative_case=True)
-        if kr % n_r == 0:
+    if decomposition.sign < 0 and r % 2 == 1:
+        if kr % degree_params(decomposition) == 0:
             eps_doubled = 4  # eps = 2
         elif k % 2 == 0 and k % 2 ** (decomposition.v2_h + 1) != 0:
             eps_doubled = 1  # eps = 1/2
         else:
             eps_doubled = 2  # eps = 1
     else:
-        n_r = params.n_for_v2(valuation(2, r), r_odd_negative_case=False)
+        n_r = _halving_threshold(h, r, decomposition.disc)
         eps_doubled = 4 if kr % n_r == 0 else 2
     numerator = 2 * euler_phi(kr) * k
     denominator = eps_doubled * math.gcd(k, h)
@@ -191,24 +165,28 @@ def tail_bound(g: RationalBase | int | str | Fraction, d: int, vmax: int) -> Fra
 
 # ---------------------------------------------------------------------------
 # Auxiliary divisor sums.  S1 substitutes the generic degree into the series;
-# S2 restricts S1 to v with v2(v) >= v2(h) + k; S3 restricts to pairs where a
-# discriminant-dependent modulus divides dv.  Their closed forms multiply
-# S(d, h) by 1, 4^(-k), and (-1/2)^(2^gamma) respectively (in the regimes
-# where the restrictions bite; see each function).
+# S2 restricts S1 to v with v2(v) >= v2(h) + k; S3 keeps the pairs (v, alpha)
+# where the degree halves, i.e. where the threshold n_r with r = d/alpha
+# divides dv.  Their closed forms multiply S(d, h) by 1, 4^(-k), and
+# (-1/2)^(2^gamma) respectively (in the regimes where the restrictions bite;
+# see each function).
 # ---------------------------------------------------------------------------
 
 
-def _generic_term(d: int, h: int, v: int, alpha: int, mu: int) -> Fraction:
-    return Fraction(mu * math.gcd(alpha * v, h), euler_phi(d * v) * alpha * v)
+def _truncated_sum(d: int, h: int, vmax: int, keep: Callable[[int, int], bool]) -> Fraction:
+    """Generic-degree double sum over v | d^inf, v <= vmax, and the pairs keep(v, alpha) admits."""
+    total = Fraction(0)
+    alphas = squarefree_divisors(d)
+    for v in divisors_of_dinfty(d, vmax):
+        for alpha, mu in alphas:
+            if keep(v, alpha):
+                total += Fraction(mu * math.gcd(alpha * v, h), euler_phi(d * v) * alpha * v)
+    return total
 
 
 def truncated_sum_s1(d: int, h: int, vmax: int) -> Fraction:
     """Literal truncation of the generic-degree double sum."""
-    total = Fraction(0)
-    for v in divisors_of_dinfty(d, vmax):
-        for alpha, mu in squarefree_divisors(d):
-            total += _generic_term(d, h, v, alpha, mu)
-    return total
+    return _truncated_sum(d, h, vmax, lambda v, alpha: True)
 
 
 def truncated_sum_s2(d: int, h: int, k: int, vmax: int) -> Fraction:
@@ -216,27 +194,16 @@ def truncated_sum_s2(d: int, h: int, k: int, vmax: int) -> Fraction:
     if k < 0:
         raise ValueError("k must be nonnegative")
     cutoff = valuation(2, h) + k
-    total = Fraction(0)
-    for v in divisors_of_dinfty(d, vmax):
-        if valuation(2, v) < cutoff:
-            continue
-        for alpha, mu in squarefree_divisors(d):
-            total += _generic_term(d, h, v, alpha, mu)
-    return total
+    return _truncated_sum(d, h, vmax, lambda v, alpha: valuation(2, v) >= cutoff)
 
 
 def truncated_sum_s3(d: int, h: int, disc: int, vmax: int) -> Fraction:
     """As S1 but keeping only pairs with lcm(2^(v2(h d/alpha)+1), |disc|) | dv."""
     if not is_fundamental_discriminant(disc):
         raise ValueError(f"{disc} is not a fundamental discriminant")
-    total = Fraction(0)
-    for v in divisors_of_dinfty(d, vmax):
-        dv = d * v
-        for alpha, mu in squarefree_divisors(d):
-            modulus = math.lcm(2 ** (valuation(2, h * d // alpha) + 1), abs(disc))
-            if dv % modulus == 0:
-                total += _generic_term(d, h, v, alpha, mu)
-    return total
+    return _truncated_sum(
+        d, h, vmax, lambda v, alpha: d * v % _halving_threshold(h, d // alpha, disc) == 0
+    )
 
 
 def closed_sum_s1(d: int, h: int) -> Fraction:
@@ -269,8 +236,7 @@ def closed_sum_s3(d: int, h: int, disc: int) -> Fraction:
         raise ValueError(f"{disc} is not a fundamental discriminant")
     if d % 2 != 0 or (4 * d) % abs(disc) != 0:
         return Fraction(0)
-    gamma = max(0, valuation(2, disc) - valuation(2, d) - valuation(2, h))
-    return Fraction(-1, 2) ** (2**gamma) * s_factor(d, h)
+    return epsilon_table(1, gamma_exponent(disc, d, h)) * s_factor(d, h)
 
 
 def s_sum_tail_bound(d: int, h: int, vmax: int) -> Fraction:

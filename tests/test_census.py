@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import subprocess
@@ -232,18 +233,31 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             run_census(self._config(path))
 
-    def test_torn_last_line_resumes(self, tmp_path):
+    def test_torn_last_line_resumes(self, tmp_path, caplog):
         path = tmp_path / "census.jsonl"
         full = run_census(self._config(path))
         lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:2]) + lines[2][: len(lines[2]) // 2])
-        resumed = run_census(self._config(path))
+        torn = lines[2][: len(lines[2]) // 2]
+        path.write_text("".join(lines[:2]) + torn)
+        with caplog.at_level(logging.WARNING, logger="orddiv.census"):
+            resumed = run_census(self._config(path))
         assert (resumed.counted, resumed.considered) == (full.counted, full.considered)
+        [warning] = caplog.records
+        assert warning.name == "orddiv.census" and warning.levelno == logging.WARNING
+        assert str(path) in warning.getMessage()
+        assert f"{len(torn)} bytes" in warning.getMessage()
         records = path.read_text().splitlines()
         assert len(records) == 5
         assert [json.loads(r)["segment_start"] for r in records] == [
             s.start for s in full.segments
         ]
+
+    def test_undecodable_line_names_it(self, tmp_path):
+        path = tmp_path / "census.jsonl"
+        run_census(self._config(path))
+        path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
+        with pytest.raises(CheckpointError, match="line 6 is not a valid record"):
+            run_census(self._config(path))
 
     @pytest.mark.parametrize("pending", [0, 1, 4])
     def test_pool_checkpoint_matches_serial(self, tmp_path, pending):

@@ -71,7 +71,50 @@ class TestExitCodes:
         assert "Traceback" not in census.stderr
         assert census.stderr.startswith("usage:")
         assert "error: argument --threads" in census.stderr
+        assert "'abc' is not a positive integer" in census.stderr
+        assert "ORDDIV_THREADS" in census.stderr
         assert run("density", "-g", "2", "-d", "2").returncode == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "-g", "2", "-d", "abc"],
+        ["census", "-g", "2", "-d", "2", "-x", "abc"],
+        ["census", "-g", "2", "-d", "2", "-x", "0"],
+    ])
+    def test_bad_integer_names_the_rule(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{argv[-1]!r} is not a positive integer" in err
+        assert "_positive_int" not in err
+
+    @pytest.mark.parametrize("case", ["directory", "missing_dir", "not_utf8"])
+    def test_unusable_checkpoint_is_one_line(self, tmp_path, capsys, case):
+        path = {"directory": tmp_path, "missing_dir": tmp_path / "no" / "cp.jsonl",
+                "not_utf8": tmp_path / "cp.jsonl"}[case]
+        if case == "not_utf8":
+            path.write_bytes(b"\xff\xfe\n")
+        code = main(["census", "-g", "2", "-d", "2", "-x", "50000",
+                     "--segment-size", "10000", "--checkpoint", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error: ") and err.count("\n") == 1
+        assert str(path) in err
+
+    def test_torn_tail_warns_on_stderr(self, tmp_path, capsys):
+        path = tmp_path / "cp.jsonl"
+        argv = ["census", "-g", "2", "-d", "2", "-x", "50000",
+                "--segment-size", "10000", "--checkpoint", str(path)]
+        assert main(argv) == 0
+        fresh = capsys.readouterr().out
+        path.write_bytes(path.read_bytes()[:-10])
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orddiv.__file__)))
+        resumed = subprocess.run([sys.executable, "-m", "orddiv.cli", *argv], env=env,
+                                 capture_output=True, text=True, timeout=60)
+        assert resumed.returncode == 0
+        assert resumed.stdout == fresh
+        assert resumed.stderr.count("\n") == 1
+        assert str(path) in resumed.stderr and "bytes" in resumed.stderr
 
     def test_checkpoint_mismatch_is_one(self, tmp_path, capsys):
         path = tmp_path / "cp.jsonl"

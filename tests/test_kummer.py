@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from orddiv.arith import euler_phi
 from orddiv.base import decompose
 from orddiv.census import _powmod_vec, _small_primes
-from orddiv.density import density, s_factor
+from orddiv.density import density, density_by_transfer, s_factor
 from orddiv.kummer import (
     closed_sum_s1,
     closed_sum_s2,
@@ -74,18 +75,11 @@ class TestDegree:
                 assert (4 * quotient_num // deg) % math.gcd(k, h) == 0
                 assert quotient_num // deg <= 2 * math.gcd(k, h)
 
-    def test_n_table_depends_on_v2_only(self):
-        for g in (2, -2, -4, 9):
-            params = degree_params(decompose(g))
-            table = params.n_table
-            assert set(table) == set(range(5))
-            assert all(v >= 1 for v in table.values())
-
     def test_threshold_modulus_frozen(self):
         # halving applies exactly when (v2(h), disc mod 8) is (0, 4) or (1, 0)
         expected = {2: 8, -2: 8, 3: 6, -3: 6, -4: 4, 9: 24, 16: 16, 17: 68}
         for g, m in expected.items():
-            assert degree_params(decompose(g)).m == m, g
+            assert degree_params(decompose(g)) == m, g
 
     def test_statistical_splitting_oracle(self):
         # a prime splits completely in Q(zeta_kr, g^(1/k)) iff p = 1 (mod kr)
@@ -170,6 +164,19 @@ class TestSeries:
             est = series_partial(g, d, 2**12)
             delta = density(g, d).delta
             assert est.partial <= delta <= est.partial + est.tail_bound, (g, d)
+
+    def test_differential_sweep(self):
+        # a seeded sample of integer and rational bases: the closed form lies
+        # in the series bracket, and for g < 0 the transfer route agrees
+        bases = [Fraction(g) for g in range(-64, 65) if g not in (-1, 0, 1)]
+        bases += sorted({Fraction(a, b) for a in range(-16, 17) for b in range(2, 17) if a % b})
+        pairs = random.Random(4).sample([(g, d) for g in bases for d in range(1, 49)], 2000)
+        for g, d in pairs:
+            delta = density(g, d).delta
+            est = series_partial(g, d, 2**12)
+            assert est.partial <= delta <= est.partial + est.tail_bound, (g, d)
+            if g < 0:
+                assert density_by_transfer(g, d) == delta, (g, d)
 
 
 class TestTailBound:
