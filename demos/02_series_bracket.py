@@ -4,8 +4,9 @@
 The density equals a double sum of mu(alpha)/[Q(zeta_dv, g^(1/alpha v)) : Q]
 over v | d^inf and squarefree alpha | d.  Truncating the v-sum gives a lower
 bound; adding the rigorous tail bound gives an upper bound.  The bracket
-must contain the closed-form value at every truncation point, and it
-tightens at a guaranteed geometric rate as vmax doubles.
+must contain the closed-form value at every truncation point.  The tail is
+the exact weighted remainder over the omitted v | d^inf, so it drops at
+each such v that vmax passes (for d = 6: at every power of 2 or 3).
 """
 
 from orddiv import density, series_partial

@@ -288,6 +288,7 @@ def _segment_census(
     base_primes: np.ndarray,
     g1: int,
     g2: int,
+    d: int,
     d_factors: tuple[tuple[int, int], ...],
     excluded: np.ndarray,
 ) -> tuple[int, int]:
@@ -296,26 +297,18 @@ def _segment_census(
     if excluded.size:
         ps = ps[~np.isin(ps, excluded)]
     considered = int(ps.size)
-    if considered == 0 or not d_factors:
+    if considered == 0 or d == 1:
         return considered, considered
-    pm1 = ps - 1
-    keep = np.ones(ps.size, dtype=bool)
-    valuations = []
-    for ell, a in d_factors:
-        e = _valuation_vec(pm1, ell)
-        valuations.append(e)
-        keep &= e >= a
-    ps = ps[keep]
+    ps = ps[(ps - 1) % d == 0]
     if ps.size == 0:
         return 0, considered
-    pm1 = pm1[keep]
-    valuations = [e[keep] for e in valuations]
+    pm1 = ps - 1
     gbar = _mod_vec(g1, ps)
     if g2 != 1:
         gbar = gbar * _powmod_vec(_mod_vec(g2, ps), ps - 2, ps) % ps
     hit = np.ones(ps.size, dtype=bool)
-    for (ell, a), e in zip(d_factors, valuations):
-        exponent = pm1 // ell ** (e - a + 1)
+    for ell, a in d_factors:
+        exponent = pm1 // ell ** (_valuation_vec(pm1, ell) - a + 1)
         hit &= _powmod_vec(gbar, exponent, ps) != 1
     return int(np.count_nonzero(hit)), considered
 
@@ -414,7 +407,8 @@ def run_census(config: CensusConfig) -> CensusResult:
         "base_primes": _small_primes(math.isqrt(config.x_limit)),
         "g1": config.g.g1,
         "g2": config.g.g2,
-        "d_factors": factorize(config.d).factors if config.d > 1 else (),
+        "d": config.d,
+        "d_factors": factorize(config.d).factors,
         "excluded": _odd_prime_divisors(config.g),
     }
     segments = config.segments()

@@ -186,6 +186,8 @@ def _census_command(args) -> int:
         checkpoint_path=args.checkpoint,
     )
     result = run_census(config)
+    if result.considered == 0:
+        raise ValueError(f"no odd prime p <= {args.x} is coprime to g = {args.g}")
     delta = density(args.g, args.d).delta
     ratio = result.ratio
     payload = {

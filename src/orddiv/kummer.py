@@ -96,7 +96,8 @@ def degree(kr: int, k: int, decomposition: BaseDecomposition) -> int:
 class SeriesEstimate:
     """Partial degree series with a rigorous bound on the omitted tail.
 
-    The exact density always lies in [partial, partial + tail_bound].
+    The exact density always lies in [partial, partial + tail_bound]; the
+    bound is tail_bound(g, d, vmax), the exact weighted remainder.
     """
 
     d: int
@@ -132,35 +133,36 @@ def series_partial(
         d=d,
         vmax=vmax,
         partial=partial,
-        tail_bound=tail_bound(g, d, vmax),
+        tail_bound=_series_tail(d, vmax, dec.h),
         blocks=tuple(blocks),
     )
 
 
 def _tail_envelope(d: int, vmax: int, coefficient: Fraction) -> Fraction:
-    """coefficient * (sum of 1/v^2 over v | d^inf in (vmax, vmax^3] + 1/vmax^3).
+    """coefficient * (sum of 1/v^2 over v | d^inf with v > vmax), exactly.
 
-    The explicit enumeration covers v up to vmax^3; the sum of 1/v^2 over all
-    integers beyond vmax^3 is below 1/vmax^3, so the total dominates the sum
-    of 1/v^2 over every v | d^inf exceeding vmax.
+    The sum over every v | d^inf is the Euler product prod_{l|d} l^2/(l^2-1)
+    = d * S(d, 1); the terms up to vmax are subtracted from it.
     """
-    spill = Fraction(0)
-    for v in divisors_of_dinfty(d, vmax**3):
-        if v > vmax:
-            spill += Fraction(1, v * v)
-    return coefficient * (spill + Fraction(1, vmax**3))
+    head = sum(Fraction(1, v * v) for v in divisors_of_dinfty(d, vmax))
+    return coefficient * (d * s_factor(d, 1) - head)
+
+
+def _series_tail(d: int, vmax: int, h: int) -> Fraction:
+    """The degree series tail past vmax for a base with power exponent h."""
+    return _tail_envelope(d, vmax, Fraction(2 * h, euler_phi(d)))
 
 
 def tail_bound(g: RationalBase | int | str | Fraction, d: int, vmax: int) -> Fraction:
     """Upper bound for the degree series omitted past vmax.
 
     Each block at v is at most 1/[Q(zeta_dv, g^(1/v)):Q] <= 2h/(phi(d) v^2),
-    hence the tail is at most (2h/phi(d)) * sum of 1/v^2 over the omitted v.
+    so the bound is (2h/phi(d)) times the exact sum of 1/v^2 over the
+    omitted v | d^inf: 0 for d = 1, and flat between consecutive v | d^inf.
     """
     if vmax < 1:
         raise ValueError("vmax must be positive")
-    h = decompose(as_base(g)).h
-    return _tail_envelope(d, vmax, Fraction(2 * h, euler_phi(d)))
+    return _series_tail(d, vmax, decompose(as_base(g)).h)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +245,8 @@ def s_sum_tail_bound(d: int, h: int, vmax: int) -> Fraction:
     """Tail bound shared by the truncated S sums.
 
     Every v-term of S1 (and a fortiori of the restricted S2/S3) is bounded by
-    2^omega(d) * h / (phi(d) v^2) in absolute value.
+    2^omega(d) * h / (phi(d) v^2) in absolute value; the bound is that
+    coefficient times the exact sum of 1/v^2 over v | d^inf past vmax.
     """
     if vmax < 1:
         raise ValueError("vmax must be positive")

@@ -225,6 +225,14 @@ class TestCensusCommand:
         assert payload["counted"] <= payload["considered"]
         assert payload["delta_exact"] == "11/32"
 
+    @pytest.mark.parametrize("g,d,x", [("3", "2", "3"), ("15", "4", "5")])
+    def test_no_prime_considered_is_one_line(self, g, d, x, capsys):
+        # every odd prime up to x divides g, so the ratio has no denominator
+        assert main(["census", "-g", g, "-d", d, "-x", x]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_threads_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("ORDDIV_THREADS", "2")
         assert main(["census", "-g", "2", "-d", "2", "-x", "30000",

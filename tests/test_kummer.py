@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orddiv.arith import euler_phi
+from orddiv.arith import divisors_of_dinfty, euler_phi, squarefree_divisors
 from orddiv.base import decompose
 from orddiv.census import _powmod_vec, _small_primes
 from orddiv.density import density, density_by_transfer, s_factor
@@ -186,11 +186,32 @@ class TestTailBound:
         assert tail_bound(2, 2, 8) >= true_tail
 
     def test_trivial_d(self):
-        assert tail_bound(5, 1, 1) >= 0
+        # d = 1 has the single block v = 1, so nothing is omitted
+        for g, vmax in ((5, 1), (-4, 8), (Fraction(8, 27), 2**10)):
+            assert tail_bound(g, 1, vmax) == 0
         assert series_partial(5, 1, 1).partial == 1
 
     def test_large_vmax_is_tiny(self):
         assert tail_bound(2, 2, 2**20) < Fraction(1, 10**10)
+
+    def test_exact_weighted_remainder(self):
+        # the bound is c * sum of 1/v^2 over v | d^inf past vmax, so it lies
+        # within c/top above the same sum cut at top
+        top = 10**7
+        for d in range(1, 49):
+            inverse_squares = [(v, Fraction(1, v * v)) for v in divisors_of_dinfty(d, top)]
+            for g in (2, 64):
+                c = Fraction(2 * decompose(g).h, euler_phi(d))
+                for vmax in (1, 8, 2**10):
+                    cut = c * sum(w for v, w in inverse_squares if v > vmax)
+                    assert cut <= tail_bound(g, d, vmax) <= cut + c / top, (g, d, vmax)
+
+    def test_s_sum_bound_is_exact_remainder(self):
+        top = 10**7
+        for d, h, vmax in ((12, 2, 8), (30, 1, 2**10)):
+            c = Fraction(len(squarefree_divisors(d)) * h, euler_phi(d))
+            cut = c * sum(Fraction(1, v * v) for v in divisors_of_dinfty(d, top) if v > vmax)
+            assert cut <= s_sum_tail_bound(d, h, vmax) <= cut + c / top, (d, h, vmax)
 
     def test_never_undershoots(self):
         # bound at vmax must dominate what later partial sums pick up
