@@ -4,13 +4,15 @@ The hot path is a segmented, odd-only sieve with vectorized modular
 exponentiation over whole segments of primes (int64 products stay below
 2^63 for x up to 3e9, which covers the full published-table scale).
 Divisibility of the order by d is decided per prime power l^a || d from the
-l-adic valuation of p - 1 and a single power test, never from a full order
+l-free part of p - 1 and a single power test, never from a full order
 computation.
 
 Long runs checkpoint one line-delimited JSON record per finished segment and
 can resume, skipping completed segments after validating a config
 fingerprint.  The verification entry points (`verify_key_identity`,
-`verify_order_flip`) use exact per-prime orders instead of the fast test.
+`verify_order_flip`) use exact orders of every prime at once, factoring
+p - 1 with a smallest-prime-factor table, instead of the fast test.  Every
+bulk exponentiation, in the census and the verifiers, is `_powmod_vec`.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ logger = logging.getLogger(__name__)
 
 # (p-1)^2 must fit in int64 for the vectorized square-and-multiply.
 _MAX_X_LIMIT = 3_000_000_000
-# verify_key_identity factors p - 1 for every prime up to x.
+# The verifiers hold a smallest-prime-factor table and order arrays up to x.
 _MAX_VERIFY_X = 10_000_000
 
 
@@ -198,10 +200,10 @@ def order_record(
 # ---------------------------------------------------------------------------
 
 
-def _odd_prime_divisors(g: RationalBase, d: int = 1) -> np.ndarray:
-    """Odd primes dividing g1 * g2 * d, sorted: the primes every count leaves out."""
+def _odd_prime_divisors(g: RationalBase) -> np.ndarray:
+    """Odd primes dividing g1 * g2, sorted: the primes every count leaves out."""
     primes = set()
-    for n in (abs(g.g1), g.g2, d):
+    for n in (abs(g.g1), g.g2):
         primes.update(factorize(n).primes())
     primes.discard(2)
     return np.array(sorted(primes), dtype=np.int64)
@@ -243,16 +245,16 @@ def _primes_in_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
 
 
 def _powmod_vec(basev: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """Elementwise base^exp % mod for int64 arrays (mod < 2^31.5)."""
+    """Elementwise base^exp % mod for int64 arrays (mod < 2^31.5, exp >= 0).
+
+    A fixed-length square-and-multiply from the top bit of exp.max(): every
+    element takes every step, and a multiply is kept only where its bit is set.
+    """
     result = np.ones_like(mod)
     b = basev % mod
-    e = exp.copy()
-    while e.any():
-        odd = (e & 1).astype(bool)
-        result[odd] = result[odd] * b[odd] % mod[odd]
-        e >>= 1
-        square = e > 0
-        b[square] = b[square] * b[square] % mod[square]
+    for bit in reversed(range(int(exp.max(initial=0)).bit_length())):
+        result = result * result % mod
+        np.copyto(result, result * b % mod, where=(exp >> bit) & 1 == 1)
     return result
 
 
@@ -270,16 +272,20 @@ def _mod_vec(n: int, mod: np.ndarray) -> np.ndarray:
     return r
 
 
-def _valuation_vec(values: np.ndarray, ell: int) -> np.ndarray:
-    """Elementwise l-adic valuation."""
-    e = np.zeros(values.shape, dtype=np.int64)
-    t = values.copy()
-    divisible = t % ell == 0
-    while divisible.any():
-        t[divisible] //= ell
-        e[divisible] += 1
-        divisible[divisible] = t[divisible] % ell == 0
-    return e
+def _strip_vec(values: np.ndarray, q: np.ndarray | int) -> np.ndarray:
+    """values with every factor q divided out, elementwise (values >= 1, q >= 2)."""
+    out = values.copy()
+    while (divisible := out % q == 0).any():
+        np.floor_divide(out, q, out=out, where=divisible)
+    return out
+
+
+def _residues(g1: int, g2: int, ps: np.ndarray) -> np.ndarray:
+    """g1 * g2^(-1) mod p for every prime p in ps (none dividing g2)."""
+    gbar = _mod_vec(g1, ps)
+    if g2 != 1:
+        gbar = gbar * _powmod_vec(_mod_vec(g2, ps), ps - 2, ps) % ps
+    return gbar
 
 
 def _segment_census(
@@ -294,22 +300,16 @@ def _segment_census(
 ) -> tuple[int, int]:
     """(counted, considered) over one segment."""
     ps = _primes_in_segment(lo, hi, base_primes)
-    if excluded.size:
-        ps = ps[~np.isin(ps, excluded)]
+    ps = ps[~np.isin(ps, excluded)]
     considered = int(ps.size)
-    if considered == 0 or d == 1:
+    if d == 1:
         return considered, considered
     ps = ps[(ps - 1) % d == 0]
-    if ps.size == 0:
-        return 0, considered
-    pm1 = ps - 1
-    gbar = _mod_vec(g1, ps)
-    if g2 != 1:
-        gbar = gbar * _powmod_vec(_mod_vec(g2, ps), ps - 2, ps) % ps
+    gbar = _residues(g1, g2, ps)
     hit = np.ones(ps.size, dtype=bool)
     for ell, a in d_factors:
-        exponent = pm1 // ell ** (_valuation_vec(pm1, ell) - a + 1)
-        hit &= _powmod_vec(gbar, exponent, ps) != 1
+        # l^a | p - 1, so (p-1) / l^(v_l(p-1) - a + 1) is the l-free part times l^(a-1)
+        hit &= _powmod_vec(gbar, _strip_vec(ps - 1, ell) * ell ** (a - 1), ps) != 1
     return int(np.count_nonzero(hit)), considered
 
 
@@ -440,7 +440,7 @@ def run_census(config: CensusConfig) -> CensusResult:
         else:
             compute = stack.enter_context(
                 ProcessPoolExecutor(
-                    max_workers=config.worker_count,
+                    max_workers=min(config.worker_count, len(pending)),
                     initializer=_init_worker,
                     initargs=(state,),
                 )
@@ -482,33 +482,47 @@ class KeyIdentityReport:
 
 
 def _spf_sieve(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table up to limit (spf[0] = 0, spf[1] = 1).
+    """Smallest-prime-factor table up to limit (spf[0] = 0, spf[1] = 1), as int32.
 
     Primes are written in descending order, so the smallest one marking a
     composite is the last write; every composite n has spf(n)^2 <= n.
     """
-    spf = np.arange(limit + 1, dtype=np.int64)
+    spf = np.arange(limit + 1, dtype=np.int32)
     for p in _small_primes(math.isqrt(limit))[::-1].tolist():
         spf[p * p :: p] = p
     return spf
 
 
-def _coprime_odd_primes(x: int, excluded: np.ndarray) -> list[int]:
-    """Odd primes p <= x outside excluded, as Python ints for the per-prime verifiers."""
+def _orders_vec(gbar: np.ndarray, ps: np.ndarray, spf: np.ndarray) -> np.ndarray:
+    """Exact multiplicative order of gbar modulo p for every odd prime p in ps.
+
+    Each round takes the smallest prime q left in p - 1 from spf; with rest the
+    order so far without its q-part, that part is the least q^k with (gbar^rest)^(q^k) = 1.
+    """
+    order = ps - 1
+    cofactor = order.copy()
+    live = np.arange(ps.size)
+    while live.size:
+        mod, q = ps[live], spf[cofactor[live]]
+        stripped = _strip_vec(cofactor[live], q)
+        rest = order[live] // (cofactor[live] // stripped)
+        cofactor[live] = stripped
+        y = _powmod_vec(gbar[live], rest, mod)
+        up = np.flatnonzero(y != 1)
+        while up.size:
+            rest[up] *= q[up]
+            y[up] = _powmod_vec(y[up], q[up], mod[up])
+            up = up[y[up] != 1]
+        order[live] = rest
+        live = live[stripped > 1]
+    return order
+
+
+def _verifier_residues(g: RationalBase, x: int, d: int = 1) -> tuple[np.ndarray, ...]:
+    """Odd primes p = 1 (mod d) up to x coprime to g1*g2, g mod each, and the SPF table up to x."""
     ps = _small_primes(x)[1:]
-    return ps[~np.isin(ps, excluded)].tolist()
-
-
-def _factor_with_spf(n: int, spf: np.ndarray) -> Factorization:
-    counts: dict[int, int] = {}
-    while n > 1:
-        p = int(spf[n])
-        counts[p] = counts.get(p, 0) + 1
-        n //= p
-    value = 1
-    for p, e in counts.items():
-        value *= p**e
-    return Factorization(value, tuple(sorted(counts.items())))
+    ps = ps[((ps - 1) % d == 0) & ~np.isin(ps, _odd_prime_divisors(g))]
+    return ps, _residues(g.g1, g.g2, ps), _spf_sieve(max(x, 3))
 
 
 def verify_key_identity(
@@ -525,26 +539,21 @@ def verify_key_identity(
     base = as_base(g)
     if x > _MAX_VERIFY_X:
         raise ValueError(f"x={x} beyond factoring budget {_MAX_VERIFY_X}")
-    spf = _spf_sieve(max(x, 3))
-    vs = divisors_of_dinfty(d, max(1, (x - 1) // d))
-    alphas = squarefree_divisors(d)
-    lhs = 0
-    blocks = {v: 0 for v in vs}
-    for p in _coprime_odd_primes(x, _odd_prime_divisors(base, d)):
-        rec = order_record(base, p, _factor_with_spf(p - 1, spf))
-        if rec.order % d == 0:
-            lhs += 1
-        r = rec.residual_index
-        for v in vs:
-            if (p - 1) % (d * v) != 0:
-                continue
-            for alpha, mu in alphas:
-                if r % (alpha * v) == 0:
-                    blocks[v] += mu
-    rhs = sum(blocks.values())
-    return KeyIdentityReport(
-        g=base, d=d, x=x, lhs=lhs, rhs=rhs, blocks=tuple(sorted(blocks.items()))
-    )
+    if d >= x:  # no p <= x has d | p - 1; such a d need not fit in int64
+        return KeyIdentityReport(g=base, d=d, x=x, lhs=0, rhs=0, blocks=((1, 0),))
+    ps, gbar, spf = _verifier_residues(base, x, d)  # only p = 1 (mod d) enter either side
+    order = _orders_vec(gbar, ps, spf)
+    pm1 = ps - 1
+    r = pm1 // order
+    lhs = int(np.count_nonzero(order % d == 0))
+    blocks = []
+    for v in divisors_of_dinfty(d, (x - 1) // d):
+        rv = r[pm1 % (d * v) == 0]
+        count = sum(mu * int(np.count_nonzero(rv % (alpha * v) == 0))
+                    for alpha, mu in squarefree_divisors(d))
+        blocks.append((v, count))
+    rhs = sum(c for _, c in blocks)
+    return KeyIdentityReport(g=base, d=d, x=x, lhs=lhs, rhs=rhs, blocks=tuple(blocks))
 
 
 def verify_order_flip(g: RationalBase | int | str | Fraction, x: int) -> bool:
@@ -556,18 +565,8 @@ def verify_order_flip(g: RationalBase | int | str | Fraction, x: int) -> bool:
     base = as_base(g)
     if base.g1 < 0:
         raise ValueError("verify_order_flip requires g > 0")
-    spf = _spf_sieve(max(x, 3))
-    for p in _coprime_odd_primes(x, _odd_prime_divisors(base)):
-        fact = _factor_with_spf(p - 1, spf)
-        gbar = reduce_mod_p(base, p)
-        o = full_order(p, gbar, fact)
-        o_neg = full_order(p, (p - gbar) % p, fact)
-        if o % 2 == 1:
-            expected = 2 * o
-        elif o % 4 == 2:
-            expected = o // 2
-        else:
-            expected = o
-        if o_neg != expected:
-            return False
-    return True
+    ps, gbar, spf = _verifier_residues(base, x)
+    o = _orders_vec(gbar, ps, spf)
+    o_neg = _orders_vec(ps - gbar, ps, spf)
+    expected = np.where(o % 2 == 1, 2 * o, np.where(o % 4 == 2, o // 2, o))
+    return bool(np.array_equal(o_neg, expected))

@@ -6,16 +6,23 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import orddiv
-from orddiv.arith import factorize
+from orddiv import census
+from orddiv.arith import divisors_of_dinfty, factorize, squarefree_divisors
 from orddiv.base import RationalBase
 from orddiv.census import (
+    _MAX_X_LIMIT,
     CensusConfig,
     CheckpointError,
     OrderRecord,
+    _odd_prime_divisors,
+    _orders_vec,
+    _powmod_vec,
     _primes_in_segment,
+    _residues,
     _small_primes,
     _spf_sieve,
     full_order,
@@ -76,6 +83,58 @@ class TestOrders:
                     assert order_divisible(p, gbar, fact) == (order % d == 0)
 
 
+class TestVectorOrders:
+    def test_powmod_matches_pow(self):
+        rng = np.random.default_rng(20)
+        # moduli up to the cap, where (mod - 1)^2 is closest to 2^63
+        mods = np.concatenate([
+            rng.integers(2, _MAX_X_LIMIT + 1, 3000),
+            _MAX_X_LIMIT - np.arange(1000),
+            rng.integers(2, 1000, 1000),
+        ])
+        bases = rng.integers(-(2**40), 2**40, mods.size)
+        exps = rng.integers(0, 2**40, mods.size)
+        exps[::7] = 0
+        bases[::5] = mods[::5] * rng.integers(-3, 4, mods[::5].size)
+        got = _powmod_vec(bases, exps, mods)
+        want = [pow(int(b), int(e), int(m)) for b, e, m in zip(bases, exps, mods)]
+        assert got.tolist() == want
+        empty = np.empty(0, dtype=np.int64)
+        assert _powmod_vec(empty, empty, empty).size == 0
+
+    @pytest.mark.parametrize("g", [2, -3, Fraction(1, 2), 2**70 + 1])
+    def test_orders_match_full_order(self, g):
+        base = RationalBase.from_value(Fraction(g))
+        ps = _small_primes(20_000)[1:]
+        ps = ps[~np.isin(ps, _odd_prime_divisors(base))]
+        spf = _spf_sieve(20_000)
+        assert spf.dtype == np.int32
+        got = _orders_vec(_residues(base.g1, base.g2, ps), ps, spf)
+        want = [full_order(p, reduce_mod_p(g, p), factorize(p - 1)) for p in ps.tolist()]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("g, d", [(Fraction(8, 27), 4), (-9, 6), (7, 30)])
+    def test_key_identity_matches_order_records(self, g, d):
+        x = 20_000
+        vs = divisors_of_dinfty(d, (x - 1) // d)
+        lhs, blocks = 0, dict.fromkeys(vs, 0)
+        for p in _small_primes(x)[1:].tolist():
+            if d % p == 0:
+                continue
+            try:
+                rec = order_record(g, p)
+            except ValueError:  # p divides g1 * g2
+                continue
+            lhs += rec.order % d == 0
+            for v in vs:
+                if (p - 1) % (d * v) == 0:
+                    for alpha, mu in squarefree_divisors(d):
+                        blocks[v] += mu * (rec.residual_index % (alpha * v) == 0)
+        report = verify_key_identity(g, d, x)
+        assert report.lhs == lhs
+        assert report.blocks == tuple(blocks.items())
+
+
 class TestSieve:
     def test_segment_matches_simple_sieve(self):
         base = _small_primes(1000)
@@ -126,6 +185,29 @@ class TestRunCensus:
                 if reference is None:
                     reference = totals
                 assert totals == reference
+
+    def test_pool_capped_at_pending_segments(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(census, "ProcessPoolExecutor", RecordingPool)
+        cfg = CensusConfig(RationalBase(2, 1), 2, 30_000, segment_size=10**4, worker_count=5000)
+        result = run_census(cfg)
+        assert started == [3]
+        serial = run_census(CensusConfig(RationalBase(2, 1), 2, 30_000, segment_size=10**4))
+        assert result.segments == serial.segments
 
     def test_segment_ledger_sums(self):
         cfg = CensusConfig(RationalBase(2, 1), 2, 100_000, segment_size=10**4)
@@ -314,6 +396,11 @@ class TestKeyIdentity:
         report = verify_key_identity(-9, 6, 30_000)
         census = run_census(CensusConfig(RationalBase(-9, 1), 6, 30_000, segment_size=10**4))
         assert report.lhs == census.counted
+
+    @pytest.mark.parametrize("d", [10_000, 2**63 - 1, 2**70 + 1])
+    def test_d_beyond_x(self, d):
+        report = verify_key_identity(2, d, 10_000)
+        assert (report.lhs, report.rhs, report.blocks) == (0, 0, ((1, 0),))
 
     def test_rejects_large_x(self):
         with pytest.raises(ValueError):
