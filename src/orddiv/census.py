@@ -10,9 +10,9 @@ computation.
 Long runs checkpoint one line-delimited JSON record per finished segment and
 can resume, skipping completed segments after validating a config
 fingerprint.  The verification entry points (`verify_key_identity`,
-`verify_order_flip`) use exact orders of every prime at once, factoring
-p - 1 with a smallest-prime-factor table, instead of the fast test.  Every
-bulk exponentiation, in the census and the verifiers, is `_powmod_vec`.
+`verify_order_flip`) sieve [3, x] as one segment of the census and decide
+every order property by power tests as well: no exact order of a prime is
+computed in bulk.  Every bulk exponentiation is `_powmod_vec`.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ logger = logging.getLogger(__name__)
 
 # (p-1)^2 must fit in int64 for the vectorized square-and-multiply.
 _MAX_X_LIMIT = 3_000_000_000
-# The verifiers hold a smallest-prime-factor table and order arrays up to x.
+# The verifiers sieve [3, x] as one segment and hold int64 arrays over its primes.
 _MAX_VERIFY_X = 10_000_000
 
 
@@ -244,15 +244,15 @@ def _primes_in_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     return lo + 2 * np.flatnonzero(mask).astype(np.int64)
 
 
-def _powmod_vec(basev: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """Elementwise base^exp % mod for int64 arrays (mod < 2^31.5, exp >= 0).
+def _powmod_vec(basev: np.ndarray, exp: np.ndarray | int, mod: np.ndarray) -> np.ndarray:
+    """Elementwise base^exp % mod for int64 arrays (mod < 2^31.5, exp >= 0 an array or one int).
 
     A fixed-length square-and-multiply from the top bit of exp.max(): every
     element takes every step, and a multiply is kept only where its bit is set.
     """
     result = np.ones_like(mod)
     b = basev % mod
-    for bit in reversed(range(int(exp.max(initial=0)).bit_length())):
+    for bit in reversed(range(int(np.max(exp, initial=0)).bit_length())):
         result = result * result % mod
         np.copyto(result, result * b % mod, where=(exp >> bit) & 1 == 1)
     return result
@@ -297,20 +297,27 @@ def _segment_census(
     d: int,
     d_factors: tuple[tuple[int, int], ...],
     excluded: np.ndarray,
-) -> tuple[int, int]:
-    """(counted, considered) over one segment."""
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """One segment: the number of odd primes in [lo, hi] outside excluded (the
+    odd primes dividing g1 * g2), the primes p among them with d | p - 1, g mod
+    each, and whether d | ord_p(g).
+
+    For l^a || d and d | p - 1, l^a divides ord_p(g) exactly when
+    g^((p-1)/l^(v_l(p-1)-a+1)) != 1, and that exponent is the l-free part of
+    p - 1 times l^(a-1).  A d >= every p divides no p - 1; it enters no
+    arithmetic, so it need not fit in int64.
+    """
     ps = _primes_in_segment(lo, hi, base_primes)
     ps = ps[~np.isin(ps, excluded)]
     considered = int(ps.size)
-    if d == 1:
-        return considered, considered
+    if considered == 0 or d >= int(ps[-1]):
+        return considered, ps[:0], ps[:0], np.ones(0, dtype=bool)
     ps = ps[(ps - 1) % d == 0]
     gbar = _residues(g1, g2, ps)
     hit = np.ones(ps.size, dtype=bool)
     for ell, a in d_factors:
-        # l^a | p - 1, so (p-1) / l^(v_l(p-1) - a + 1) is the l-free part times l^(a-1)
         hit &= _powmod_vec(gbar, _strip_vec(ps - 1, ell) * ell ** (a - 1), ps) != 1
-    return int(np.count_nonzero(hit)), considered
+    return considered, ps, gbar, hit
 
 
 _WORKER_STATE: dict | None = None
@@ -322,8 +329,10 @@ def _init_worker(state: dict) -> None:
 
 
 def _segment_task(bounds: tuple[int, int]) -> tuple[int, int]:
+    """(counted, considered) over one segment."""
     assert _WORKER_STATE is not None
-    return _segment_census(bounds[0], bounds[1], **_WORKER_STATE)
+    considered, _, _, hit = _segment_census(bounds[0], bounds[1], **_WORKER_STATE)
+    return int(np.count_nonzero(hit)), considered
 
 
 # ---------------------------------------------------------------------------
@@ -481,48 +490,16 @@ class KeyIdentityReport:
         return self.lhs == self.rhs
 
 
-def _spf_sieve(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table up to limit (spf[0] = 0, spf[1] = 1), as int32.
+def _two_adic_valuation(y: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """v_2 of the order of y modulo p, elementwise, for y of 2-power order modulo p.
 
-    Primes are written in descending order, so the smallest one marking a
-    composite is the last write; every composite n has spf(n)^2 <= n.
+    That order is 2^k for the least k with y^(2^k) = 1, found by repeated squaring.
     """
-    spf = np.arange(limit + 1, dtype=np.int32)
-    for p in _small_primes(math.isqrt(limit))[::-1].tolist():
-        spf[p * p :: p] = p
-    return spf
-
-
-def _orders_vec(gbar: np.ndarray, ps: np.ndarray, spf: np.ndarray) -> np.ndarray:
-    """Exact multiplicative order of gbar modulo p for every odd prime p in ps.
-
-    Each round takes the smallest prime q left in p - 1 from spf; with rest the
-    order so far without its q-part, that part is the least q^k with (gbar^rest)^(q^k) = 1.
-    """
-    order = ps - 1
-    cofactor = order.copy()
-    live = np.arange(ps.size)
-    while live.size:
-        mod, q = ps[live], spf[cofactor[live]]
-        stripped = _strip_vec(cofactor[live], q)
-        rest = order[live] // (cofactor[live] // stripped)
-        cofactor[live] = stripped
-        y = _powmod_vec(gbar[live], rest, mod)
-        up = np.flatnonzero(y != 1)
-        while up.size:
-            rest[up] *= q[up]
-            y[up] = _powmod_vec(y[up], q[up], mod[up])
-            up = up[y[up] != 1]
-        order[live] = rest
-        live = live[stripped > 1]
-    return order
-
-
-def _verifier_residues(g: RationalBase, x: int, d: int = 1) -> tuple[np.ndarray, ...]:
-    """Odd primes p = 1 (mod d) up to x coprime to g1*g2, g mod each, and the SPF table up to x."""
-    ps = _small_primes(x)[1:]
-    ps = ps[((ps - 1) % d == 0) & ~np.isin(ps, _odd_prime_divisors(g))]
-    return ps, _residues(g.g1, g.g2, ps), _spf_sieve(max(x, 3))
+    val = np.zeros(ps.size, dtype=np.int64)
+    while (live := y != 1).any():
+        val += live
+        y = y * y % ps
+    return val
 
 
 def verify_key_identity(
@@ -531,42 +508,56 @@ def verify_key_identity(
     """Check the exact finite-x identity between the direct order count and
     the Mobius-weighted residual-index census.
 
-    lhs counts primes p <= x with d | ord_p(g); rhs sums mu(alpha) times the
-    count of primes with p = 1 (mod dv) and alpha*v | r_p(g), over v | d^inf
-    and squarefree alpha | d.  Primes dividing 2*d*g1*g2 are excluded from
-    both sides.  Exact integer equality is expected for every input.
+    lhs counts primes p <= x with d | ord_p(g), by the census kernel's own
+    test; rhs sums mu(alpha) times the count of primes with p = 1 (mod dv)
+    and alpha*v | r_p(g), over v | d^inf and squarefree alpha | d.  For such
+    p, alpha*v | r_p exactly when g^((p-1)/(alpha v)) = 1, i.e.
+    y^(rad(d)/alpha) = 1 for y = g^((p-1)/(rad(d) v)): each block is a power
+    test too.  Primes dividing 2*d*g1*g2 are excluded from both sides.  Exact
+    integer equality is expected for every input.
     """
     base = as_base(g)
     if x > _MAX_VERIFY_X:
-        raise ValueError(f"x={x} beyond factoring budget {_MAX_VERIFY_X}")
-    if d >= x:  # no p <= x has d | p - 1; such a d need not fit in int64
-        return KeyIdentityReport(g=base, d=d, x=x, lhs=0, rhs=0, blocks=((1, 0),))
-    ps, gbar, spf = _verifier_residues(base, x, d)  # only p = 1 (mod d) enter either side
-    order = _orders_vec(gbar, ps, spf)
-    pm1 = ps - 1
-    r = pm1 // order
-    lhs = int(np.count_nonzero(order % d == 0))
+        raise ValueError(f"x={x} beyond the verifier cap {_MAX_VERIFY_X}")
+    d_factors = factorize(d).factors
+    _, ps, gbar, hit = _segment_census(
+        3, x, _small_primes(math.isqrt(x)), base.g1, base.g2, d, d_factors,
+        _odd_prime_divisors(base),
+    )
+    rad = math.prod(ell for ell, _ in d_factors)
+    alphas = squarefree_divisors(d)
     blocks = []
-    for v in divisors_of_dinfty(d, (x - 1) // d):
-        rv = r[pm1 % (d * v) == 0]
-        count = sum(mu * int(np.count_nonzero(rv % (alpha * v) == 0))
-                    for alpha, mu in squarefree_divisors(d))
+    for v in divisors_of_dinfty(d, max(1, (x - 1) // d)):
+        count = 0
+        if ps.size:  # with no prime left, d may be past int64 (see _segment_census)
+            keep = (ps - 1) % (d * v) == 0
+            sel = ps[keep]
+            y = _powmod_vec(gbar[keep], (sel - 1) // (rad * v), sel)
+            count = sum(mu * int(np.count_nonzero(_powmod_vec(y, rad // alpha, sel) == 1))
+                        for alpha, mu in alphas)
         blocks.append((v, count))
     rhs = sum(c for _, c in blocks)
-    return KeyIdentityReport(g=base, d=d, x=x, lhs=lhs, rhs=rhs, blocks=tuple(blocks))
+    return KeyIdentityReport(
+        g=base, d=d, x=x, lhs=int(np.count_nonzero(hit)), rhs=rhs, blocks=tuple(blocks)
+    )
 
 
 def verify_order_flip(g: RationalBase | int | str | Fraction, x: int) -> bool:
     """Check the order relation between g and -g at every odd prime p <= x.
 
     ord_p(-g) must be 2*ord_p(g), ord_p(g)/2, or ord_p(g) according to
-    whether ord_p(g) is odd, 2 mod 4, or divisible by 4.
+    whether ord_p(g) is odd, 2 mod 4, or divisible by 4.  As g^2 = (-g)^2,
+    the odd parts of the two orders agree, so the relation is one between
+    their 2-adic valuations: 0 -> 1, 1 -> 0, and t -> t for t >= 2.  With m
+    the odd part of p - 1 and y = g^m, the valuation for g is that of the
+    order of y; as m is odd, (-g)^m = p - y, so one ladder serves both.
     """
     base = as_base(g)
     if base.g1 < 0:
         raise ValueError("verify_order_flip requires g > 0")
-    ps, gbar, spf = _verifier_residues(base, x)
-    o = _orders_vec(gbar, ps, spf)
-    o_neg = _orders_vec(ps - gbar, ps, spf)
-    expected = np.where(o % 2 == 1, 2 * o, np.where(o % 4 == 2, o // 2, o))
-    return bool(np.array_equal(o_neg, expected))
+    _, ps, gbar, _ = _segment_census(
+        3, x, _small_primes(math.isqrt(x)), base.g1, base.g2, 1, (), _odd_prime_divisors(base)
+    )
+    y = _powmod_vec(gbar, _strip_vec(ps - 1, 2), ps)
+    t, t_neg = _two_adic_valuation(y, ps), _two_adic_valuation(ps - y, ps)
+    return bool(np.array_equal(t_neg, np.where(t == 0, 1, np.where(t == 1, 0, t))))

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -rA` to see the summary lines.
 The census criterion (6) sieves sixteen rows to 10^8 and dominates the
-runtime of the whole suite (a couple of minutes on two cores).
+runtime of the whole suite (21-34 s of it on two cores).
 """
 
 import time

@@ -11,7 +11,7 @@ import pytest
 
 import orddiv
 from orddiv import census
-from orddiv.arith import divisors_of_dinfty, factorize, squarefree_divisors
+from orddiv.arith import divisors_of_dinfty, factorize, squarefree_divisors, valuation
 from orddiv.base import RationalBase
 from orddiv.census import (
     _MAX_X_LIMIT,
@@ -19,12 +19,12 @@ from orddiv.census import (
     CheckpointError,
     OrderRecord,
     _odd_prime_divisors,
-    _orders_vec,
     _powmod_vec,
     _primes_in_segment,
     _residues,
     _small_primes,
-    _spf_sieve,
+    _strip_vec,
+    _two_adic_valuation,
     full_order,
     order_divisible,
     order_record,
@@ -103,15 +103,16 @@ class TestVectorOrders:
         assert _powmod_vec(empty, empty, empty).size == 0
 
     @pytest.mark.parametrize("g", [2, -3, Fraction(1, 2), 2**70 + 1])
-    def test_orders_match_full_order(self, g):
+    def test_two_adic_valuation_matches_full_order(self, g):
+        # y = g^m and p - y = (-g)^m for m the odd part of p - 1
         base = RationalBase.from_value(Fraction(g))
         ps = _small_primes(20_000)[1:]
         ps = ps[~np.isin(ps, _odd_prime_divisors(base))]
-        spf = _spf_sieve(20_000)
-        assert spf.dtype == np.int32
-        got = _orders_vec(_residues(base.g1, base.g2, ps), ps, spf)
-        want = [full_order(p, reduce_mod_p(g, p), factorize(p - 1)) for p in ps.tolist()]
-        assert got.tolist() == want
+        y = _powmod_vec(_residues(base.g1, base.g2, ps), _strip_vec(ps - 1, 2), ps)
+        for h, yh in ((Fraction(g), y), (-Fraction(g), ps - y)):
+            want = [valuation(2, full_order(p, reduce_mod_p(h, p), factorize(p - 1)))
+                    for p in ps.tolist()]
+            assert _two_adic_valuation(yh, ps).tolist() == want
 
     @pytest.mark.parametrize("g, d", [(Fraction(8, 27), 4), (-9, 6), (7, 30)])
     def test_key_identity_matches_order_records(self, g, d):
@@ -144,12 +145,6 @@ class TestSieve:
             hi = min(lo + 7918, 100_000)
             collected.extend(int(p) for p in _primes_in_segment(lo, hi, base))
         assert collected == whole
-
-    def test_spf_matches_trial_division(self):
-        spf = _spf_sieve(5000)
-        assert spf[:2].tolist() == [0, 1]
-        for n in range(2, 5001):
-            assert spf[n] == next(q for q in range(2, n + 1) if n % q == 0)
 
 
 class TestRunCensus:
@@ -248,6 +243,12 @@ class TestRunCensus:
             counted += order_divisible(p, gbar, factorize(d))
         result = run_census(CensusConfig(RationalBase.from_value(g), d, x, segment_size=10**4))
         assert (result.counted, result.considered) == (counted, considered)
+
+    @pytest.mark.parametrize("d", [2**63 - 1, 2**63, 2**70 + 1])
+    def test_d_beyond_int64(self, d):
+        # no p - 1 <= 999 has such a divisor; 167 odd primes up to 1000
+        result = run_census(CensusConfig(RationalBase(2, 1), d, 1000, segment_size=10**4))
+        assert (result.counted, result.considered) == (0, 167)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -405,6 +406,13 @@ class TestKeyIdentity:
     def test_rejects_large_x(self):
         with pytest.raises(ValueError):
             verify_key_identity(2, 2, 10**8)
+
+    def test_at_cap(self):
+        x = 10**7
+        report = verify_key_identity(2, 2, x)
+        assert report.holds
+        assert report.lhs == run_census(CensusConfig(RationalBase(2, 1), 2, x)).counted
+        assert verify_order_flip(3, x)
 
 
 class TestOrderFlip:

@@ -233,6 +233,12 @@ class TestCensusCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_d_beyond_int64_counts_nothing(self, capsys):
+        assert main(["census", "-g", "2", "-d", str(2**70 + 1), "-x", "1000",
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["counted"], payload["considered"]) == (0, 167)
+
     def test_threads_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("ORDDIV_THREADS", "2")
         assert main(["census", "-g", "2", "-d", "2", "-x", "30000",
