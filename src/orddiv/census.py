@@ -7,17 +7,18 @@ Divisibility of the order by d is decided per prime power l^a || d from the
 l-free part of p - 1 and a single power test, never from a full order
 computation.
 
-Long runs checkpoint one line-delimited JSON record per finished segment and
-can resume, skipping completed segments after validating a config
-fingerprint.  The verification entry points (`verify_key_identity`,
-`verify_order_flip`) sieve [3, x] as one segment of the census and decide
-every order property by power tests as well: no exact order of a prime is
-computed in bulk.  Every bulk exponentiation is `_powmod_vec`.
+One driver runs that kernel segment by segment, serially or on a process
+pool, and reduces each segment's output.  `run_census` counts, checkpointing
+one JSON line per segment so long runs resume after a fingerprint check;
+`verify_key_identity` and `verify_order_flip` sum their own results on one
+worker, in memory bounded by the segment size, and decide every order
+property by power tests too.  Every bulk exponentiation is `_powmod_vec`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import logging
 import math
@@ -57,8 +58,6 @@ logger = logging.getLogger(__name__)
 
 # (p-1)^2 must fit in int64 for the vectorized square-and-multiply.
 _MAX_X_LIMIT = 3_000_000_000
-# The verifiers sieve [3, x] as one segment and hold int64 arrays over its primes.
-_MAX_VERIFY_X = 10_000_000
 
 
 class CheckpointError(RuntimeError):
@@ -320,18 +319,23 @@ def _segment_census(
     return considered, ps, gbar, hit
 
 
-_WORKER_STATE: dict | None = None
+_WORKER_STATE: tuple | None = None
 
 
-def _init_worker(state: dict) -> None:
+def _init_worker(state: tuple) -> None:
     global _WORKER_STATE
     _WORKER_STATE = state
 
 
-def _segment_task(bounds: tuple[int, int]) -> tuple[int, int]:
-    """(counted, considered) over one segment."""
+def _segment_task(bounds: tuple[int, int]):
+    """The worker's reducer applied to the kernel's output over one segment."""
     assert _WORKER_STATE is not None
-    considered, _, _, hit = _segment_census(bounds[0], bounds[1], **_WORKER_STATE)
+    reduce, kernel = _WORKER_STATE
+    return reduce(*_segment_census(bounds[0], bounds[1], **kernel))
+
+
+def _count_segment(considered: int, ps, gbar, hit: np.ndarray) -> tuple[int, int]:
+    """(counted, considered) over one segment."""
     return int(np.count_nonzero(hit)), considered
 
 
@@ -396,11 +400,36 @@ def _append_checkpoint(fh, seg: SegmentCount, fingerprint: str) -> None:
     }
     fh.write(json.dumps(record) + "\n")
     fh.flush()
+    os.fsync(fh.fileno())
 
 
 # ---------------------------------------------------------------------------
 # the census driver
 # ---------------------------------------------------------------------------
+
+
+def _map_segments(config: CensusConfig, reduce, segments: list[tuple[int, int]]):
+    """Yield reduce(*_segment_census(lo, hi, ...)) for each segment in order, the kernel's
+    arguments taken from config; serial for one worker or segment, else on a pool."""
+    kernel = {
+        "base_primes": _small_primes(math.isqrt(config.x_limit)),
+        "g1": config.g.g1,
+        "g2": config.g.g2,
+        "d": config.d,
+        "d_factors": factorize(config.d).factors,
+        "excluded": _odd_prime_divisors(config.g),
+    }
+    if config.worker_count == 1 or len(segments) <= 1:
+        _init_worker((reduce, kernel))
+        yield from map(_segment_task, segments)
+        return
+    with ProcessPoolExecutor(
+        max_workers=min(config.worker_count, len(segments)),
+        initializer=_init_worker,
+        initargs=((reduce, kernel),),
+    ) as pool:
+        # Executor.map submits every segment up front and yields in order.
+        yield from pool.map(_segment_task, segments)
 
 
 def run_census(config: CensusConfig) -> CensusResult:
@@ -412,14 +441,6 @@ def run_census(config: CensusConfig) -> CensusResult:
     a kill is dropped and its segment recounted, and on any other
     inconsistency the run aborts rather than recounting).
     """
-    state = {
-        "base_primes": _small_primes(math.isqrt(config.x_limit)),
-        "g1": config.g.g1,
-        "g2": config.g.g2,
-        "d": config.d,
-        "d_factors": factorize(config.d).factors,
-        "excluded": _odd_prime_divisors(config.g),
-    }
     segments = config.segments()
     done: dict[tuple[int, int], tuple[int, int]] = {}
     complete_bytes = 0
@@ -443,19 +464,8 @@ def run_census(config: CensusConfig) -> CensusResult:
                     f"{config.checkpoint_path}: cannot append to the checkpoint: {exc.strerror}"
                 ) from None
             log.truncate(complete_bytes)
-        if config.worker_count == 1 or len(pending) <= 1:
-            _init_worker(state)
-            compute = map
-        else:
-            compute = stack.enter_context(
-                ProcessPoolExecutor(
-                    max_workers=min(config.worker_count, len(pending)),
-                    initializer=_init_worker,
-                    initargs=(state,),
-                )
-            ).map
-        # Executor.map submits every segment up front and yields in order.
-        for seg, counts in zip(pending, compute(_segment_task, pending)):
+        # strict: the driver is run to its end, which shuts its pool down
+        for seg, counts in zip(pending, _map_segments(config, _count_segment, pending), strict=True):
             done[seg] = counts
             if log is not None:
                 _append_checkpoint(log, SegmentCount(seg[0], seg[1], *counts), config.fingerprint)
@@ -502,6 +512,22 @@ def _two_adic_valuation(y: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return val
 
 
+def _identity_segment(d: int, vs: tuple[int, ...], considered: int, ps, gbar, hit) -> list[int]:
+    """lhs, then each v-block of verify_key_identity's rhs, over one segment."""
+    if not ps.size:  # with no prime left, d may be past int64 (see _segment_census)
+        return [0] * (1 + len(vs))
+    counts = [int(np.count_nonzero(hit))]
+    alphas = squarefree_divisors(d)
+    rad = alphas[-1][0]
+    for v in vs:
+        keep = (ps - 1) % (d * v) == 0
+        sel = ps[keep]
+        y = _powmod_vec(gbar[keep], (sel - 1) // (rad * v), sel)
+        counts.append(sum(mu * int(np.count_nonzero(_powmod_vec(y, rad // alpha, sel) == 1))
+                          for alpha, mu in alphas))
+    return counts
+
+
 def verify_key_identity(
     g: RationalBase | int | str | Fraction, d: int, x: int
 ) -> KeyIdentityReport:
@@ -514,32 +540,22 @@ def verify_key_identity(
     p, alpha*v | r_p exactly when g^((p-1)/(alpha v)) = 1, i.e.
     y^(rad(d)/alpha) = 1 for y = g^((p-1)/(rad(d) v)): each block is a power
     test too.  Primes dividing 2*d*g1*g2 are excluded from both sides.  Exact
-    integer equality is expected for every input.
+    integer equality is expected for every input.  Both sides are sums over
+    the census's segments, with x and d bounded as in CensusConfig.
     """
     base = as_base(g)
-    if x > _MAX_VERIFY_X:
-        raise ValueError(f"x={x} beyond the verifier cap {_MAX_VERIFY_X}")
-    d_factors = factorize(d).factors
-    _, ps, gbar, hit = _segment_census(
-        3, x, _small_primes(math.isqrt(x)), base.g1, base.g2, d, d_factors,
-        _odd_prime_divisors(base),
-    )
-    rad = math.prod(ell for ell, _ in d_factors)
-    alphas = squarefree_divisors(d)
-    blocks = []
-    for v in divisors_of_dinfty(d, max(1, (x - 1) // d)):
-        count = 0
-        if ps.size:  # with no prime left, d may be past int64 (see _segment_census)
-            keep = (ps - 1) % (d * v) == 0
-            sel = ps[keep]
-            y = _powmod_vec(gbar[keep], (sel - 1) // (rad * v), sel)
-            count = sum(mu * int(np.count_nonzero(_powmod_vec(y, rad // alpha, sel) == 1))
-                        for alpha, mu in alphas)
-        blocks.append((v, count))
-    rhs = sum(c for _, c in blocks)
-    return KeyIdentityReport(
-        g=base, d=d, x=x, lhs=int(np.count_nonzero(hit)), rhs=rhs, blocks=tuple(blocks)
-    )
+    config = CensusConfig(base, d, x)
+    vs = tuple(divisors_of_dinfty(d, max(1, (x - 1) // d)))
+    reduce = functools.partial(_identity_segment, d, vs)
+    lhs, *counts = map(sum, zip(*_map_segments(config, reduce, config.segments())))
+    return KeyIdentityReport(base, d, x, lhs, rhs=sum(counts), blocks=tuple(zip(vs, counts)))
+
+
+def _flip_segment(considered: int, ps, gbar, hit) -> bool:
+    """verify_order_flip's relation at every prime of one segment."""
+    y = _powmod_vec(gbar, _strip_vec(ps - 1, 2), ps)
+    t, t_neg = _two_adic_valuation(y, ps), _two_adic_valuation(ps - y, ps)
+    return bool(np.array_equal(t_neg, np.where(t == 0, 1, np.where(t == 1, 0, t))))
 
 
 def verify_order_flip(g: RationalBase | int | str | Fraction, x: int) -> bool:
@@ -555,9 +571,5 @@ def verify_order_flip(g: RationalBase | int | str | Fraction, x: int) -> bool:
     base = as_base(g)
     if base.g1 < 0:
         raise ValueError("verify_order_flip requires g > 0")
-    _, ps, gbar, _ = _segment_census(
-        3, x, _small_primes(math.isqrt(x)), base.g1, base.g2, 1, (), _odd_prime_divisors(base)
-    )
-    y = _powmod_vec(gbar, _strip_vec(ps - 1, 2), ps)
-    t, t_neg = _two_adic_valuation(y, ps), _two_adic_valuation(ps - y, ps)
-    return bool(np.array_equal(t_neg, np.where(t == 0, 1, np.where(t == 1, 0, t))))
+    config = CensusConfig(base, 1, x)
+    return all(_map_segments(config, _flip_segment, config.segments()))

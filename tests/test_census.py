@@ -1,3 +1,4 @@
+import functools
 import json
 import logging
 import math
@@ -363,6 +364,16 @@ class TestCheckpoint:
         assert resumed.segments == fresh.segments
         assert pool_path.read_bytes() == written
 
+    def test_each_record_is_fsynced(self, tmp_path, monkeypatch):
+        synced = []
+        monkeypatch.setattr(census.os, "fsync", synced.append)
+        path = tmp_path / "census.jsonl"
+        run_census(self._config(path, x=30_000))
+        assert len(synced) == 3
+        synced.clear()
+        run_census(self._config(path, x=30_000))
+        assert synced == []
+
     def test_foreign_segmentation_aborts(self, tmp_path):
         path = tmp_path / "census.jsonl"
         record = {
@@ -373,6 +384,16 @@ class TestCheckpoint:
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(CheckpointError):
             run_census(self._config(path))
+
+
+def _split_verifier_segments(monkeypatch) -> list:
+    """Make the verifiers' default config use 10^4-wide segments; returns the kernel's calls."""
+    kernel_calls = []
+    segment_census = census._segment_census
+    monkeypatch.setattr(census, "CensusConfig", functools.partial(CensusConfig, segment_size=10**4))
+    monkeypatch.setattr(census, "_segment_census",
+                        lambda *a, **k: kernel_calls.append(a[:2]) or segment_census(*a, **k))
+    return kernel_calls
 
 
 class TestKeyIdentity:
@@ -404,10 +425,28 @@ class TestKeyIdentity:
         assert (report.lhs, report.rhs, report.blocks) == (0, 0, ((1, 0),))
 
     def test_rejects_large_x(self):
-        with pytest.raises(ValueError):
-            verify_key_identity(2, 2, 10**8)
+        # both verifiers share the census's bound, checked before any sieving
+        with pytest.raises(ValueError, match="beyond supported bound"):
+            verify_key_identity(2, 2, _MAX_X_LIMIT + 1)
+        with pytest.raises(ValueError, match="beyond supported bound"):
+            verify_order_flip(2, _MAX_X_LIMIT + 1)
 
-    def test_at_cap(self):
+    def test_rejects_small_x(self):
+        with pytest.raises(ValueError, match="at least 3"):
+            verify_key_identity(2, 2, 2)
+        with pytest.raises(ValueError, match="at least 3"):
+            verify_order_flip(2, 2)
+
+    @pytest.mark.parametrize("g, d", [(2, 2), (-9, 6), (Fraction(8, 27), 4), (2, 2**70 + 1)])
+    def test_segment_split_matches_one_segment(self, g, d, monkeypatch):
+        whole = verify_key_identity(g, d, 200_000)
+        kernel_calls = _split_verifier_segments(monkeypatch)
+        split = verify_key_identity(g, d, 200_000)
+        assert len(kernel_calls) == 20
+        assert (split.lhs, split.rhs, split.blocks) == (whole.lhs, whole.rhs, whole.blocks)
+        assert split.holds
+
+    def test_matches_census_at_1e7(self):
         x = 10**7
         report = verify_key_identity(2, 2, x)
         assert report.holds
@@ -431,6 +470,13 @@ class TestOrderFlip:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             verify_order_flip(-2, 100)
+
+    @pytest.mark.parametrize("g", [3, Fraction(3, 5)])
+    def test_segment_split_matches_one_segment(self, g, monkeypatch):
+        whole = verify_order_flip(g, 200_000)
+        kernel_calls = _split_verifier_segments(monkeypatch)
+        assert verify_order_flip(g, 200_000) is whole is True
+        assert len(kernel_calls) == 20
 
 
 class TestOrderRecordType:

@@ -252,6 +252,12 @@ class TestCensusCommand:
 
 
 class TestVerifyCommand:
+    def test_x_below_three_is_one_line(self, capsys):
+        assert main(["verify", "-g", "2", "-d", "2", "-x", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_blocks_rendered(self, capsys):
         assert main(["verify", "-g", "-9", "-d", "6", "-x", "20000",
                      "--format", "json"]) == 0
