@@ -8,11 +8,14 @@ l-free part of p - 1 and a single power test, never from a full order
 computation.
 
 One driver runs that kernel segment by segment, serially or on a process
-pool, and reduces each segment's output.  `run_census` counts, checkpointing
-one JSON line per segment so long runs resume after a fingerprint check;
-`verify_key_identity` and `verify_order_flip` sum their own results on one
-worker, in memory bounded by the segment size, and decide every order
-property by power tests too.  Every bulk exponentiation is `_powmod_vec`.
+pool, and reduces each segment's output.  Both paths map the same task,
+bound per call to its reducer and kernel arguments: the driver keeps no
+module state, so runs on threads of one process do not see each other.
+`run_census` counts, checkpointing one JSON line per segment so long runs
+resume after a fingerprint check; `verify_key_identity` and
+`verify_order_flip` sum their own results on one worker, in memory bounded
+by the segment size, and decide every order property by power tests too.
+Every bulk exponentiation is `_powmod_vec`.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ class CheckpointError(RuntimeError):
 
 @dataclass(frozen=True)
 class CensusConfig:
-    g: RationalBase
+    g: RationalBase | int | str | Fraction
     d: int
     x_limit: int
     segment_size: int = 10_000_000
@@ -74,6 +77,7 @@ class CensusConfig:
     checkpoint_path: str | os.PathLike | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "g", as_base(self.g))
         if self.d < 1:
             raise ValueError("d must be positive")
         if self.x_limit < 3:
@@ -319,18 +323,8 @@ def _segment_census(
     return considered, ps, gbar, hit
 
 
-_WORKER_STATE: tuple | None = None
-
-
-def _init_worker(state: tuple) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = state
-
-
-def _segment_task(bounds: tuple[int, int]):
-    """The worker's reducer applied to the kernel's output over one segment."""
-    assert _WORKER_STATE is not None
-    reduce, kernel = _WORKER_STATE
+def _segment_task(reduce, kernel: dict, bounds: tuple[int, int]):
+    """reduce applied to the kernel's output over one segment."""
     return reduce(*_segment_census(bounds[0], bounds[1], **kernel))
 
 
@@ -419,17 +413,13 @@ def _map_segments(config: CensusConfig, reduce, segments: list[tuple[int, int]])
         "d_factors": factorize(config.d).factors,
         "excluded": _odd_prime_divisors(config.g),
     }
+    task = functools.partial(_segment_task, reduce, kernel)
     if config.worker_count == 1 or len(segments) <= 1:
-        _init_worker((reduce, kernel))
-        yield from map(_segment_task, segments)
+        yield from map(task, segments)
         return
-    with ProcessPoolExecutor(
-        max_workers=min(config.worker_count, len(segments)),
-        initializer=_init_worker,
-        initargs=((reduce, kernel),),
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=min(config.worker_count, len(segments))) as pool:
         # Executor.map submits every segment up front and yields in order.
-        yield from pool.map(_segment_task, segments)
+        yield from pool.map(task, segments)
 
 
 def run_census(config: CensusConfig) -> CensusResult:
@@ -543,12 +533,11 @@ def verify_key_identity(
     integer equality is expected for every input.  Both sides are sums over
     the census's segments, with x and d bounded as in CensusConfig.
     """
-    base = as_base(g)
-    config = CensusConfig(base, d, x)
+    config = CensusConfig(g, d, x)
     vs = tuple(divisors_of_dinfty(d, max(1, (x - 1) // d)))
     reduce = functools.partial(_identity_segment, d, vs)
     lhs, *counts = map(sum, zip(*_map_segments(config, reduce, config.segments())))
-    return KeyIdentityReport(base, d, x, lhs, rhs=sum(counts), blocks=tuple(zip(vs, counts)))
+    return KeyIdentityReport(config.g, d, x, lhs, rhs=sum(counts), blocks=tuple(zip(vs, counts)))
 
 
 def _flip_segment(considered: int, ps, gbar, hit) -> bool:
@@ -568,8 +557,7 @@ def verify_order_flip(g: RationalBase | int | str | Fraction, x: int) -> bool:
     the odd part of p - 1 and y = g^m, the valuation for g is that of the
     order of y; as m is odd, (-g)^m = p - y, so one ladder serves both.
     """
-    base = as_base(g)
-    if base.g1 < 0:
+    config = CensusConfig(g, 1, x)
+    if config.g.g1 < 0:
         raise ValueError("verify_order_flip requires g > 0")
-    config = CensusConfig(base, 1, x)
     return all(_map_segments(config, _flip_segment, config.segments()))

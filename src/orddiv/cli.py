@@ -9,7 +9,8 @@ census    segmented prime census of d | ord_p(g) up to x (checkpointable)
 verify    exact finite-x identity between the order count and the
           Mobius-weighted residual-index census
 
-Exit codes: 0 success, 1 verification/bracket failure, 2 usage error.
+Exit codes: 0 success, 1 verification/bracket failure, checkpoint error or
+closed output pipe, 2 usage error.
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_census.add_argument(
         "--threads", type=_thread_count, default=os.environ.get("ORDDIV_THREADS", "1")
     )
-    p_census.add_argument("--segment-size", type=_positive_int, default=10_000_000)
+    p_census.add_argument("--segment-size", type=_positive_int, default=CensusConfig.segment_size)
     p_census.add_argument("--checkpoint", default=None)
     p_census.set_defaults(run=_census_command)
 
@@ -287,7 +288,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull and exit quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return 1

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -186,9 +188,8 @@ class TestRunCensus:
         started = []
 
         class RecordingPool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers):
                 started.append(max_workers)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -251,7 +252,16 @@ class TestRunCensus:
         result = run_census(CensusConfig(RationalBase(2, 1), d, 1000, segment_size=10**4))
         assert (result.counted, result.considered) == (0, 167)
 
+    @pytest.mark.parametrize("g", [2, "2", Fraction(2)])
+    def test_config_coerces_g(self, g):
+        config = CensusConfig(g, 2, 23, segment_size=10**4)
+        assert (config.g, config.fingerprint) == (RationalBase(2, 1), "2/1|2|10000")
+        result = run_census(config)
+        assert (result.counted, result.considered) == (6, 8)
+
     def test_validation(self):
+        with pytest.raises(ValueError):
+            CensusConfig(1, 2, 100)
         with pytest.raises(ValueError):
             CensusConfig(RationalBase(2, 1), 2, 2)
         with pytest.raises(ValueError):
@@ -477,6 +487,38 @@ class TestOrderFlip:
         kernel_calls = _split_verifier_segments(monkeypatch)
         assert verify_order_flip(g, 200_000) is whole is True
         assert len(kernel_calls) == 20
+
+
+class TestStatelessDriver:
+    """Runs in one process see nothing of each other's kernel."""
+
+    def test_interleaved_drivers(self):
+        configs = [CensusConfig(RationalBase(2, 1), 2, 50_000, segment_size=10**4),
+                   CensusConfig(RationalBase(3, 1), 12, 50_000, segment_size=10**4)]
+        alone = [list(census._map_segments(c, census._count_segment, c.segments())) for c in configs]
+        drivers = [census._map_segments(c, census._count_segment, c.segments()) for c in configs]
+        interleaved = [[], []]
+        for _ in range(len(alone[0])):
+            for out, driver in zip(interleaved, drivers):
+                out.append(next(driver))
+        assert interleaved == alone
+        assert [next(driver, None) for driver in drivers] == [None, None]
+
+    def test_threads_match_serial(self, monkeypatch):
+        _split_verifier_segments(monkeypatch)
+        calls = [functools.partial(run_census, CensusConfig(g, d, 200_000, segment_size=10**4))
+                 for g, d in ((RationalBase(2, 1), 2), (RationalBase(3, 1), 12))]
+        calls.append(functools.partial(verify_key_identity, -9, 6, 200_000))
+        serial = [call() for call in calls]
+        start = threading.Barrier(len(calls), timeout=60)
+
+        def run_together(call):
+            start.wait()
+            return call()
+
+        with ThreadPoolExecutor(max_workers=len(calls)) as pool:
+            threaded = list(pool.map(run_together, calls, timeout=120))
+        assert threaded == serial
 
 
 class TestOrderRecordType:

@@ -76,6 +76,22 @@ class TestExitCodes:
         assert run("density", "-g", "2", "-d", "2").returncode == 0
 
     @pytest.mark.parametrize("argv", [
+        ["oracle", "-g", "2", "-d", "30", "--vmax", "65536", "--format", "json"],
+        ["density", "-g", "2", "-d", "2", "--format", "json"],
+    ])
+    def test_closed_stdout_exits_quietly(self, argv):
+        # stdout is a pipe whose reader has already gone
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orddiv.__file__)))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            run = subprocess.run([sys.executable, "-m", "orddiv.cli", *argv], env=env,
+                                 stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (run.returncode, run.stderr) == (1, b"")
+
+    @pytest.mark.parametrize("argv", [
         ["density", "-g", "2", "-d", "abc"],
         ["census", "-g", "2", "-d", "2", "-x", "abc"],
         ["census", "-g", "2", "-d", "2", "-x", "0"],
