@@ -48,10 +48,6 @@ class RationalBase:
         return cls(q.numerator, q.denominator)
 
     @property
-    def value(self) -> Fraction:
-        return Fraction(self.g1, self.g2)
-
-    @property
     def sign(self) -> int:
         return -1 if self.g1 < 0 else 1
 

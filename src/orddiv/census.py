@@ -5,7 +5,8 @@ exponentiation over whole segments of primes (int64 products stay below
 2^63 for x up to 3e9, which covers the full published-table scale).
 Divisibility of the order by d is decided per prime power l^a || d from the
 l-free part of p - 1 and a single power test, never from a full order
-computation.
+computation.  A prime is left out when g is not a unit modulo it, which
+the kernel reads from the residue of g1 * g2: g itself is never factored.
 
 One driver runs that kernel segment by segment, serially or on a process
 pool, and reduces each segment's output.  Both paths map the same task,
@@ -203,15 +204,6 @@ def order_record(
 # ---------------------------------------------------------------------------
 
 
-def _odd_prime_divisors(g: RationalBase) -> np.ndarray:
-    """Odd primes dividing g1 * g2, sorted: the primes every count leaves out."""
-    primes = set()
-    for n in (abs(g.g1), g.g2):
-        primes.update(factorize(n).primes())
-    primes.discard(2)
-    return np.array(sorted(primes), dtype=np.int64)
-
-
 def _small_primes(limit: int) -> np.ndarray:
     """Primes up to limit inclusive (plain sieve; the Python loop runs to sqrt(limit))."""
     if limit < 2:
@@ -299,21 +291,20 @@ def _segment_census(
     g2: int,
     d: int,
     d_factors: tuple[tuple[int, int], ...],
-    excluded: np.ndarray,
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """One segment: the number of odd primes in [lo, hi] outside excluded (the
-    odd primes dividing g1 * g2), the primes p among them with d | p - 1, g mod
-    each, and whether d | ord_p(g).
+    """One segment: the number of odd primes in [lo, hi] at which g is a unit,
+    the primes p among them with d | p - 1, g mod each, and whether d | ord_p(g).
 
-    For l^a || d and d | p - 1, l^a divides ord_p(g) exactly when
-    g^((p-1)/l^(v_l(p-1)-a+1)) != 1, and that exponent is the l-free part of
-    p - 1 times l^(a-1).  A d >= every p divides no p - 1; it enters no
-    arithmetic, so it need not fit in int64.
+    A prime p is left out when p | g1 * g2, read from the residue of g1 * g2
+    mod p, so g is never factored.  For l^a || d and d | p - 1, l^a divides
+    ord_p(g) exactly when g^((p-1)/l^(v_l(p-1)-a+1)) != 1, and that exponent
+    is the l-free part of p - 1 times l^(a-1).  A d >= hi divides no p - 1 in
+    the segment; it enters no arithmetic, so it need not fit in int64.
     """
     ps = _primes_in_segment(lo, hi, base_primes)
-    ps = ps[~np.isin(ps, excluded)]
+    ps = ps[_mod_vec(g1 * g2, ps) != 0]
     considered = int(ps.size)
-    if considered == 0 or d >= int(ps[-1]):
+    if d >= hi:
         return considered, ps[:0], ps[:0], np.ones(0, dtype=bool)
     ps = ps[(ps - 1) % d == 0]
     gbar = _residues(g1, g2, ps)
@@ -411,7 +402,6 @@ def _map_segments(config: CensusConfig, reduce, segments: list[tuple[int, int]])
         "g2": config.g.g2,
         "d": config.d,
         "d_factors": factorize(config.d).factors,
-        "excluded": _odd_prime_divisors(config.g),
     }
     task = functools.partial(_segment_task, reduce, kernel)
     if config.worker_count == 1 or len(segments) <= 1:
@@ -449,11 +439,11 @@ def run_census(config: CensusConfig) -> CensusResult:
         if config.checkpoint_path is not None and pending:
             try:
                 log = stack.enter_context(open(config.checkpoint_path, "a", encoding="utf-8"))
+                log.truncate(complete_bytes)
             except OSError as exc:
                 raise CheckpointError(
                     f"{config.checkpoint_path}: cannot append to the checkpoint: {exc.strerror}"
                 ) from None
-            log.truncate(complete_bytes)
         # strict: the driver is run to its end, which shuts its pool down
         for seg, counts in zip(pending, _map_segments(config, _count_segment, pending), strict=True):
             done[seg] = counts
@@ -529,9 +519,11 @@ def verify_key_identity(
     and alpha*v | r_p(g), over v | d^inf and squarefree alpha | d.  For such
     p, alpha*v | r_p exactly when g^((p-1)/(alpha v)) = 1, i.e.
     y^(rad(d)/alpha) = 1 for y = g^((p-1)/(rad(d) v)): each block is a power
-    test too.  Primes dividing 2*d*g1*g2 are excluded from both sides.  Exact
-    integer equality is expected for every input.  Both sides are sums over
-    the census's segments, with x and d bounded as in CensusConfig.
+    test too.  Both sides range over the census's primes: odd, with g a unit
+    mod p, which the kernel reads from the residue of g1 * g2, so g is never
+    factored (no prime dividing d has p = 1 mod d).  Exact integer equality
+    is expected for every input.  Both sides are sums over the census's
+    segments, with x and d bounded as in CensusConfig.
     """
     config = CensusConfig(g, d, x)
     vs = tuple(divisors_of_dinfty(d, max(1, (x - 1) // d)))

@@ -21,7 +21,6 @@ from orddiv.census import (
     CensusConfig,
     CheckpointError,
     OrderRecord,
-    _odd_prime_divisors,
     _powmod_vec,
     _primes_in_segment,
     _residues,
@@ -36,6 +35,10 @@ from orddiv.census import (
     verify_key_identity,
     verify_order_flip,
 )
+
+
+# (2^61 - 1)(2^89 - 1), a product of two primes out of Pollard-Brent's reach
+_HARD_BASE = (2**61 - 1) * (2**89 - 1)
 
 
 class TestReduceModP:
@@ -110,7 +113,7 @@ class TestVectorOrders:
         # y = g^m and p - y = (-g)^m for m the odd part of p - 1
         base = RationalBase.from_value(Fraction(g))
         ps = _small_primes(20_000)[1:]
-        ps = ps[~np.isin(ps, _odd_prime_divisors(base))]
+        ps = ps[[(base.g1 * base.g2) % p != 0 for p in ps.tolist()]]
         y = _powmod_vec(_residues(base.g1, base.g2, ps), _strip_vec(ps - 1, 2), ps)
         for h, yh in ((Fraction(g), y), (-Fraction(g), ps - y)):
             want = [valuation(2, full_order(p, reduce_mod_p(h, p), factorize(p - 1)))
@@ -246,11 +249,48 @@ class TestRunCensus:
         result = run_census(CensusConfig(RationalBase.from_value(g), d, x, segment_size=10**4))
         assert (result.counted, result.considered) == (counted, considered)
 
-    @pytest.mark.parametrize("d", [2**63 - 1, 2**63, 2**70 + 1])
+    @pytest.mark.parametrize("d", [996, 997, 999, 1000, 1001, 2**63 - 1, 2**63, 2**70 + 1])
     def test_d_beyond_int64(self, d):
-        # no p - 1 <= 999 has such a divisor; 167 odd primes up to 1000
-        result = run_census(CensusConfig(RationalBase(2, 1), d, 1000, segment_size=10**4))
-        assert (result.counted, result.considered) == (0, 167)
+        # 997 is the last prime below 1000 and 7 a primitive root mod 997, so
+        # only d = 996 divides some p - 1 <= 999 and ord_p(7); 166 odd primes
+        # up to 1000 besides 7.  No d here enters int64 arithmetic.
+        counted = int(d == 996)
+        result = run_census(CensusConfig(RationalBase(7, 1), d, 1000, segment_size=10**4))
+        assert (result.counted, result.considered) == (counted, 166)
+        report = verify_key_identity(7, d, 1000)
+        assert (report.lhs, report.rhs) == (counted, counted)
+
+    @pytest.mark.parametrize("g", [_HARD_BASE, Fraction(1, _HARD_BASE)])
+    @pytest.mark.parametrize("d", [2, 12])
+    def test_base_out_of_factoring_reach(self, g, d):
+        # the census, identity and flip read whether g is a unit mod p from
+        # residues, so none of them waits on factoring g
+        x = 10_000
+        counted = considered = 0
+        flips = []
+        for p in _small_primes(x)[1:].tolist():
+            try:
+                gbar = reduce_mod_p(g, p)
+            except ValueError:
+                continue
+            considered += 1
+            counted += order_divisible(p, gbar, factorize(d))
+            t, t_neg = (valuation(2, full_order(p, r, factorize(p - 1))) for r in (gbar, p - gbar))
+            flips.append(t_neg == {0: 1, 1: 0}.get(t, t))
+        result = run_census(CensusConfig(g, d, x, segment_size=10**4))
+        assert (result.counted, result.considered) == (counted, considered)
+        report = verify_key_identity(g, d, x)
+        assert (report.lhs, report.rhs) == (counted, counted)
+        assert verify_order_flip(g, x) is all(flips) is True
+
+    def test_never_factors_g(self, monkeypatch):
+        factored = []
+        monkeypatch.setattr(census, "factorize", lambda n: factored.append(n) or factorize(n))
+        g, d, x = Fraction(35, 11), 12, 20_000
+        run_census(CensusConfig(g, d, x, segment_size=10**4))
+        verify_key_identity(g, d, x)
+        verify_order_flip(g, x)
+        assert factored and not {35, 11} & set(factored)
 
     @pytest.mark.parametrize("g", [2, "2", Fraction(2)])
     def test_config_coerces_g(self, g):

@@ -104,10 +104,11 @@ class TestExitCodes:
         assert f"{argv[-1]!r} is not a positive integer" in err
         assert "_positive_int" not in err
 
-    @pytest.mark.parametrize("case", ["directory", "missing_dir", "not_utf8"])
+    @pytest.mark.parametrize("case", ["directory", "missing_dir", "not_utf8", "devnull"])
     def test_unusable_checkpoint_is_one_line(self, tmp_path, capsys, case):
+        # os.devnull reads as empty but cannot be truncated
         path = {"directory": tmp_path, "missing_dir": tmp_path / "no" / "cp.jsonl",
-                "not_utf8": tmp_path / "cp.jsonl"}[case]
+                "not_utf8": tmp_path / "cp.jsonl", "devnull": os.devnull}[case]
         if case == "not_utf8":
             path.write_bytes(b"\xff\xfe\n")
         code = main(["census", "-g", "2", "-d", "2", "-x", "50000",
@@ -273,6 +274,15 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_base_out_of_factoring_reach(self):
+        # (2^61 - 1)(2^89 - 1): verify never factors g, so it ends at once
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orddiv.__file__)))
+        argv = ["verify", "-g", str((2**61 - 1) * (2**89 - 1)), "-d", "2", "-x", "1000"]
+        run = subprocess.run([sys.executable, "-m", "orddiv.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0
+        assert run.stdout.endswith("result = PASS\n")
 
     def test_blocks_rendered(self, capsys):
         assert main(["verify", "-g", "-9", "-d", "6", "-x", "20000",
