@@ -31,13 +31,13 @@ __all__ = [
 # Pollard-Brent with a fixed parameter sweep so results are reproducible.
 _TRIAL_LIMIT = 1_000_000
 
-# Strong-pseudoprime witnesses: proven deterministic for n < 3.3e24,
-# which covers every 64-bit input this package ever factors.
+# Strong-pseudoprime witnesses: proven deterministic for n < 3.3e24.  Above it,
+# as for factorize's cofactors of a large g, a pass means a strong probable prime.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
+    """Miller-Rabin test to _MR_WITNESSES: exact for n < 3.3e24, else a probable-prime test."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -63,8 +63,6 @@ def is_prime(n: int) -> bool:
 
 def _pollard_brent(n: int) -> int:
     """Return a nontrivial factor of composite odd n (deterministic sweep)."""
-    if n % 2 == 0:
-        return 2
     # Brent's cycle variant; (y0, c) pairs are swept in a fixed order so the
     # returned factor never depends on external randomness.
     for c in range(1, 100):
@@ -148,8 +146,6 @@ def factorize(n: int) -> Factorization:
     stack = [m] if m > 1 else []
     while stack:
         c = stack.pop()
-        if c == 1:
-            continue
         if c <= _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(c):
             # trial division already removed everything below the limit, so a
             # survivor below limit^2 must be prime

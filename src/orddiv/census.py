@@ -28,7 +28,7 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -173,8 +173,6 @@ def order_divisible(p: int, gbar: int, d_factored: Factorization) -> bool:
         return False
     for ell, a in d_factored.factors:
         e = valuation(ell, pm1)
-        if e < a:
-            return False
         if pow(gbar, pm1 // ell ** (e - a + 1), p) == 1:
             return False
     return True
@@ -233,8 +231,6 @@ def _primes_in_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
         start = max(p * p, (lo + p - 1) // p * p)
         if start % 2 == 0:
             start += p
-        if start > hi:
-            continue
         mask[(start - lo) // 2 :: p] = False
     return lo + 2 * np.flatnonzero(mask).astype(np.int64)
 
@@ -329,7 +325,14 @@ def _count_segment(considered: int, ps, gbar, hit: np.ndarray) -> tuple[int, int
 # ---------------------------------------------------------------------------
 
 
-def _load_checkpoint(path, fingerprint: str) -> tuple[dict[tuple[int, int], tuple[int, int]], int]:
+# A record is these keys, holding a SegmentCount's fields in order, then
+# "config_fingerprint"; the key order is part of the checkpoint's bytes.
+_RECORD_KEYS = ("segment_start", "segment_end", "counted", "considered")
+
+
+def _load_checkpoint(
+    path, fingerprint: str, segments: set[tuple[int, int]]
+) -> tuple[dict[tuple[int, int], SegmentCount], int]:
     """Finished segments recorded at path, and the byte length of its complete lines.
 
     Each record is written together with its newline, so a final line without
@@ -337,7 +340,7 @@ def _load_checkpoint(path, fingerprint: str) -> tuple[dict[tuple[int, int], tupl
     cut off before the run appends.  Any bad newline-terminated line, and a
     path that cannot be read, aborts with CheckpointError.
     """
-    done: dict[tuple[int, int], tuple[int, int]] = {}
+    done: dict[tuple[int, int], SegmentCount] = {}
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -357,32 +360,32 @@ def _load_checkpoint(path, fingerprint: str) -> tuple[dict[tuple[int, int], tupl
             continue
         try:
             record = json.loads(line.decode("utf-8"))
-            key = (int(record["segment_start"]), int(record["segment_end"]))
-            counts = (int(record["counted"]), int(record["considered"]))
+            seg = SegmentCount(*(int(record[name]) for name in _RECORD_KEYS))
             seen_fp = record["config_fingerprint"]
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: line {lineno} is not a valid record: {exc}")
+        key = (seg.start, seg.end)
         if seen_fp != fingerprint:
             raise CheckpointError(
                 f"{path}: line {lineno} fingerprint {seen_fp!r} does not match "
                 f"current configuration {fingerprint!r}"
             )
-        if key in done and done[key] != counts:
+        if key not in segments:
             raise CheckpointError(
-                f"{path}: conflicting counts for segment {key}: {done[key]} vs {counts}"
+                f"{path}: line {lineno} segment {key} does not match the "
+                f"segmentation of x_limit={max(segments)[1]}"
             )
-        done[key] = counts
+        if done.setdefault(key, seg) != seg:
+            earlier = done[key]
+            raise CheckpointError(
+                f"{path}: line {lineno} conflicting counts for segment {key}: "
+                f"{(earlier.counted, earlier.considered)} vs {(seg.counted, seg.considered)}"
+            )
     return done, len(complete)
 
 
 def _append_checkpoint(fh, seg: SegmentCount, fingerprint: str) -> None:
-    record = {
-        "segment_start": seg.start,
-        "segment_end": seg.end,
-        "counted": seg.counted,
-        "considered": seg.considered,
-        "config_fingerprint": fingerprint,
-    }
+    record = dict(zip(_RECORD_KEYS, astuple(seg)), config_fingerprint=fingerprint)
     fh.write(json.dumps(record) + "\n")
     fh.flush()
     os.fsync(fh.fileno())
@@ -422,17 +425,10 @@ def run_census(config: CensusConfig) -> CensusResult:
     inconsistency the run aborts rather than recounting).
     """
     segments = config.segments()
-    done: dict[tuple[int, int], tuple[int, int]] = {}
+    done: dict[tuple[int, int], SegmentCount] = {}
     complete_bytes = 0
-    expected = set(segments)
     if config.checkpoint_path is not None:
-        done, complete_bytes = _load_checkpoint(config.checkpoint_path, config.fingerprint)
-        for key in done:
-            if key not in expected:
-                raise CheckpointError(
-                    f"{config.checkpoint_path}: segment {key} does not match the "
-                    f"segmentation of x_limit={config.x_limit}"
-                )
+        done, complete_bytes = _load_checkpoint(config.checkpoint_path, config.fingerprint, set(segments))
     pending = [seg for seg in segments if seg not in done]
     with contextlib.ExitStack() as stack:
         log = None
@@ -446,12 +442,10 @@ def run_census(config: CensusConfig) -> CensusResult:
                 ) from None
         # strict: the driver is run to its end, which shuts its pool down
         for seg, counts in zip(pending, _map_segments(config, _count_segment, pending), strict=True):
-            done[seg] = counts
+            done[seg] = SegmentCount(*seg, *counts)
             if log is not None:
-                _append_checkpoint(log, SegmentCount(seg[0], seg[1], *counts), config.fingerprint)
-    ordered = tuple(
-        SegmentCount(lo, hi, *done[(lo, hi)]) for lo, hi in segments
-    )
+                _append_checkpoint(log, done[seg], config.fingerprint)
+    ordered = tuple(done[seg] for seg in segments)
     return CensusResult(
         counted=sum(s.counted for s in ordered),
         considered=sum(s.considered for s in ordered),

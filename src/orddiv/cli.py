@@ -186,10 +186,11 @@ def _census_command(args) -> int:
         worker_count=args.threads,
         checkpoint_path=args.checkpoint,
     )
+    # density factors g and may never end on a huge one: run it first, so no count is lost
+    delta = density(args.g, args.d).delta
     result = run_census(config)
     if result.considered == 0:
         raise ValueError(f"no odd prime p <= {args.x} is coprime to g = {args.g}")
-    delta = density(args.g, args.d).delta
     ratio = result.ratio
     payload = {
         "g": str(args.g),
@@ -247,7 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("-g", type=_parse_g, required=True,
-                       help="rational base, e.g. 2, -9, or 8/27")
+                       help="rational base, e.g. 2, -9, or 8/27; a negative "
+                            "fraction takes the = form, -g=-3/5")
         p.add_argument("-d", type=_positive_int, required=True)
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")
 

@@ -310,6 +310,17 @@ class TestRunCensus:
             CensusConfig(RationalBase(2, 1), 2, 4_000_000_000)
 
 
+# run_census(CensusConfig(2, 2, 30_000, segment_size=10**4, checkpoint_path=...)) writes these
+_PINNED_CHECKPOINT = (
+    b'{"segment_start": 3, "segment_end": 10002, "counted": 878, "considered": 1228, '
+    b'"config_fingerprint": "2/1|2|10000"}\n'
+    b'{"segment_start": 10003, "segment_end": 20002, "counted": 737, "considered": 1033, '
+    b'"config_fingerprint": "2/1|2|10000"}\n'
+    b'{"segment_start": 20003, "segment_end": 30000, "counted": 694, "considered": 983, '
+    b'"config_fingerprint": "2/1|2|10000"}\n'
+)
+
+
 class TestCheckpoint:
     def _config(self, path, x=50_000):
         return CensusConfig(
@@ -364,7 +375,7 @@ class TestCheckpoint:
         record = json.loads(lines[0])
         record["counted"] += 1
         path.write_text("\n".join(lines + [json.dumps(record)]) + "\n")
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match=r"line 6 conflicting counts for segment \(3, 10002\)"):
             run_census(self._config(path))
 
     def test_torn_last_line_resumes(self, tmp_path, caplog):
@@ -424,16 +435,34 @@ class TestCheckpoint:
         run_census(self._config(path, x=30_000))
         assert synced == []
 
-    def test_foreign_segmentation_aborts(self, tmp_path):
-        path = tmp_path / "census.jsonl"
+    def _write_foreign_after(self, path, valid_lines: int) -> None:
+        """valid_lines records of the run, then one from a segmentation starting at 5."""
         record = {
             "segment_start": 5, "segment_end": 10_004,
             "counted": 1, "considered": 1,
             "config_fingerprint": "2/1|2|10000",
         }
-        path.write_text(json.dumps(record) + "\n")
-        with pytest.raises(CheckpointError):
+        kept = _PINNED_CHECKPOINT.splitlines(keepends=True)[:valid_lines]
+        path.write_bytes(b"".join(kept) + json.dumps(record).encode() + b"\n")
+
+    def test_foreign_segmentation_aborts(self, tmp_path):
+        path = tmp_path / "census.jsonl"
+        self._write_foreign_after(path, 0)
+        with pytest.raises(CheckpointError, match=r"line 1 segment \(5, 10004\)"):
             run_census(self._config(path))
+
+    def test_foreign_segment_after_valid_record(self, tmp_path):
+        path = tmp_path / "census.jsonl"
+        self._write_foreign_after(path, 1)
+        with pytest.raises(CheckpointError, match=r"line 2 segment \(5, 10004\)"):
+            run_census(self._config(path))
+
+    def test_record_bytes_pinned(self, tmp_path):
+        # key order and spacing are part of the format: files written earlier must resume
+        path = tmp_path / "census.jsonl"
+        fresh = run_census(self._config(path, x=30_000))
+        assert path.read_bytes() == _PINNED_CHECKPOINT
+        assert run_census(self._config(path, x=30_000)) == fresh
 
 
 def _split_verifier_segments(monkeypatch) -> list:

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import orddiv
+from orddiv import cli
 from orddiv.cli import decimal_string, main
 from orddiv.density import density
 from orddiv.tables import TABLE_NEGATIVE, TABLE_POSITIVE
@@ -249,6 +250,23 @@ class TestCensusCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_density_before_count(self, monkeypatch, capsys):
+        # density factors g and may never end: it must not run after a finished count
+        calls = []
+        for name, tag in (("density", "density"), ("run_census", "census")):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, real=real, tag=tag: calls.append(tag) or real(*a))
+        assert main(["census", "-g", "2", "-d", "2", "-x", "23"]) == 0
+        assert calls == ["density", "census"]
+        assert "counted    = 6" in capsys.readouterr().out
+
+    def test_negative_fraction_base(self, capsys):
+        # argparse reads "-g -3/5" as two options; the = form keeps the value
+        assert main(["census", "-g=-3/5", "-d", "6", "-x", "100000"]) == 0
+        capsys.readouterr()
+        assert main(["density", "-g=-3/5", "-d", "2", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["g"] == "-3/5"
 
     def test_d_beyond_int64_counts_nothing(self, capsys):
         assert main(["census", "-g", "2", "-d", str(2**70 + 1), "-x", "1000",
