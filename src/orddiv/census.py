@@ -111,20 +111,22 @@ class SegmentCount:
     counted: int
     considered: int
 
+    def __post_init__(self) -> None:
+        if any(type(v) is not int for v in astuple(self)) or not 0 <= self.counted <= self.considered:
+            raise ValueError(f"segment {astuple(self)} needs int counts with 0 <= counted <= considered")
+
 
 @dataclass(frozen=True)
 class CensusResult:
-    """Census totals: counted = #{p : d | ord_p(g)}, considered = #{p : p odd, p coprime to g}."""
+    """Segment sums of counted = #{p : d | ord_p(g)} and considered = #{p : p odd, p coprime to g}."""
 
-    counted: int
-    considered: int
+    counted: int = field(init=False)
+    considered: int = field(init=False)
     segments: tuple[SegmentCount, ...]
 
     def __post_init__(self) -> None:
-        totals = (self.counted, self.considered)
-        ledger = (sum(s.counted for s in self.segments), sum(s.considered for s in self.segments))
-        if self.counted > self.considered or ledger != totals:
-            raise ValueError(f"totals {totals} need counted <= considered and segment sums {ledger}")
+        object.__setattr__(self, "counted", sum(s.counted for s in self.segments))
+        object.__setattr__(self, "considered", sum(s.considered for s in self.segments))
 
     @property
     def ratio(self) -> Fraction:
@@ -360,7 +362,7 @@ def _load_checkpoint(
             continue
         try:
             record = json.loads(line.decode("utf-8"))
-            seg = SegmentCount(*(int(record[name]) for name in _RECORD_KEYS))
+            seg = SegmentCount(*(record[name] for name in _RECORD_KEYS))
             seen_fp = record["config_fingerprint"]
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: line {lineno} is not a valid record: {exc}")
@@ -404,7 +406,7 @@ def _map_segments(config: CensusConfig, reduce, segments: list[tuple[int, int]])
         "g1": config.g.g1,
         "g2": config.g.g2,
         "d": config.d,
-        "d_factors": factorize(config.d).factors,
+        "d_factors": () if config.d >= config.x_limit else factorize(config.d).factors,
     }
     task = functools.partial(_segment_task, reduce, kernel)
     if config.worker_count == 1 or len(segments) <= 1:
@@ -445,12 +447,7 @@ def run_census(config: CensusConfig) -> CensusResult:
             done[seg] = SegmentCount(*seg, *counts)
             if log is not None:
                 _append_checkpoint(log, done[seg], config.fingerprint)
-    ordered = tuple(done[seg] for seg in segments)
-    return CensusResult(
-        counted=sum(s.counted for s in ordered),
-        considered=sum(s.considered for s in ordered),
-        segments=ordered,
-    )
+    return CensusResult(tuple(done[seg] for seg in segments))
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +457,17 @@ def run_census(config: CensusConfig) -> CensusResult:
 
 @dataclass(frozen=True)
 class KeyIdentityReport:
-    """Both sides of the finite-x counting identity plus per-v block counts."""
+    """Both sides of the finite-x counting identity; rhs is the sum of the per-v block counts."""
 
     g: RationalBase
     d: int
     x: int
     lhs: int
-    rhs: int
+    rhs: int = field(init=False)
     blocks: tuple[tuple[int, int], ...] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rhs", sum(count for _, count in self.blocks))
 
     @property
     def holds(self) -> bool:
@@ -520,10 +520,10 @@ def verify_key_identity(
     segments, with x and d bounded as in CensusConfig.
     """
     config = CensusConfig(g, d, x)
-    vs = tuple(divisors_of_dinfty(d, max(1, (x - 1) // d)))
+    vs = (1,) if d >= x else tuple(divisors_of_dinfty(d, (x - 1) // d))
     reduce = functools.partial(_identity_segment, d, vs)
     lhs, *counts = map(sum, zip(*_map_segments(config, reduce, config.segments())))
-    return KeyIdentityReport(config.g, d, x, lhs, rhs=sum(counts), blocks=tuple(zip(vs, counts)))
+    return KeyIdentityReport(config.g, d, x, lhs, tuple(zip(vs, counts)))
 
 
 def _flip_segment(considered: int, ps, gbar, hit) -> bool:

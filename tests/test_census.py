@@ -283,6 +283,15 @@ class TestRunCensus:
         assert (report.lhs, report.rhs) == (counted, counted)
         assert verify_order_flip(g, x) is all(flips) is True
 
+    def test_d_out_of_factoring_reach(self):
+        # a d >= x divides no p - 1 <= x, so the census never factors it
+        code = ("from orddiv.census import CensusConfig, run_census\n"
+                f"print(run_census(CensusConfig(2, {_HARD_BASE}, 1000)).counted)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orddiv.__file__)))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stdout) == (0, "0\n")
+
     def test_never_factors_g(self, monkeypatch):
         factored = []
         monkeypatch.setattr(census, "factorize", lambda n: factored.append(n) or factorize(n))
@@ -367,6 +376,12 @@ class TestCheckpoint:
         path.write_text(path.read_text() + "{not json\n")
         with pytest.raises(CheckpointError):
             run_census(self._config(path))
+        # a count that is not an int with 0 <= counted <= considered is as corrupt
+        first, rest = _PINNED_CHECKPOINT.split(b"\n", 1)
+        for counted in (b"-5", b"5000", b"true", b"1e3", b'"878"'):
+            path.write_bytes(first.replace(b'"counted": 878', b'"counted": ' + counted) + b"\n" + rest)
+            with pytest.raises(CheckpointError, match="line 1 is not a valid record"):
+                run_census(self._config(path, x=30_000))
 
     def test_conflicting_counts_abort(self, tmp_path):
         path = tmp_path / "census.jsonl"
@@ -598,11 +613,25 @@ class TestOrderRecordType:
     def test_invariants_survive_optimize(self):
         # python -O strips assert statements; the invariants must not go with them
         code = (
-            "from orddiv.census import CensusResult\n"
-            "CensusResult(counted=5, considered=3, segments=())"
+            "from orddiv.census import SegmentCount\n"
+            "SegmentCount(3, 10002, counted=5, considered=3)"
         )
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orddiv.__file__)))
         run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                              capture_output=True, text=True, timeout=60)
         assert run.returncode == 1
         assert "ValueError" in run.stderr
+
+    def test_result_reprs_pinned(self):
+        # the derived totals keep their declared place in repr
+        result = run_census(CensusConfig(2, 2, 30_000, segment_size=10**4))
+        assert repr(result) == (
+            "CensusResult(counted=2309, considered=3244, segments=("
+            "SegmentCount(start=3, end=10002, counted=878, considered=1228), "
+            "SegmentCount(start=10003, end=20002, counted=737, considered=1033), "
+            "SegmentCount(start=20003, end=30000, counted=694, considered=983)))"
+        )
+        report = verify_key_identity(-9, 6, 1000)
+        assert repr(report) == (
+            "KeyIdentityReport(g=RationalBase(g1=-9, g2=1), d=6, x=1000, lhs=58, rhs=58)"
+        )

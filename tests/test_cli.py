@@ -134,6 +134,20 @@ class TestExitCodes:
         assert resumed.stderr.count("\n") == 1
         assert str(path) in resumed.stderr and "bytes" in resumed.stderr
 
+    @pytest.mark.parametrize("counted", ["-5", "5000", "true", "1e3", '"878"'])
+    def test_invalid_count_is_one_line(self, tmp_path, capsys, counted):
+        # line 1 holds segment (3, 10002): 878 of its 1228 primes counted
+        path = tmp_path / "cp.jsonl"
+        argv = ["census", "-g", "2", "-d", "2", "-x", "30000",
+                "--segment-size", "10000", "--checkpoint", str(path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        path.write_text(path.read_text().replace('"counted": 878', f'"counted": {counted}'))
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"checkpoint error: {path}: line 1 is not a valid record: ")
+
     def test_checkpoint_mismatch_is_one(self, tmp_path, capsys):
         path = tmp_path / "cp.jsonl"
         assert main(["census", "-g", "2", "-d", "2", "-x", "50000",
@@ -301,6 +315,15 @@ class TestVerifyCommand:
                              capture_output=True, text=True, timeout=60)
         assert run.returncode == 0
         assert run.stdout.endswith("result = PASS\n")
+
+    def test_d_out_of_factoring_reach(self):
+        # (2^61 - 1)(2^89 - 1) >= x divides no p - 1 <= x: verify never factors it
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orddiv.__file__)))
+        argv = ["verify", "-g", "2", "-d", str((2**61 - 1) * (2**89 - 1)), "-x", "1000"]
+        run = subprocess.run([sys.executable, "-m", "orddiv.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0
+        assert run.stdout.endswith("blocks: v=1:0\nresult = PASS\n")
 
     def test_blocks_rendered(self, capsys):
         assert main(["verify", "-g", "-9", "-d", "6", "-x", "20000",
