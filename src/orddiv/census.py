@@ -2,7 +2,10 @@
 
 The hot path is a segmented, odd-only sieve with vectorized modular
 exponentiation over whole segments of primes (int64 products stay below
-2^63 for x up to 3e9, which covers the full published-table scale).
+2^63 for x up to 3e9, which covers the full published-table scale).  The
+sieve strikes the base primes that cross a segment only a few times in one
+scatter.  The exponentiation is a 3-bit-window ladder run in cache-sized
+blocks, and every bulk exponentiation is `_powmod_vec`.
 Divisibility of the order by d is decided per prime power l^a || d from the
 l-free part of p - 1 and a single power test, never from a full order
 computation.  A prime is left out when g is not a unit modulo it, which
@@ -16,7 +19,6 @@ module state, so runs on threads of one process do not see each other.
 resume after a fingerprint check; `verify_key_identity` and
 `verify_order_flip` sum their own results on one worker, in memory bounded
 by the segment size, and decide every order property by power tests too.
-Every bulk exponentiation is `_powmod_vec`.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import json
 import logging
 import math
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field
 from fractions import Fraction
@@ -60,8 +63,15 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# (p-1)^2 must fit in int64 for the vectorized square-and-multiply.
+# (p-1)^2 must fit in int64 for the vectorized exponentiation.
 _MAX_X_LIMIT = 3_000_000_000
+# _powmod_vec's window width in exponent bits, and its block length in elements:
+# a block's 8-row table of int64 powers is 2 MiB.
+_WINDOW_BITS = 3
+_POWMOD_BLOCK = 1 << 15
+# A base prime that crosses a sieve segment fewer times than this is struck
+# in _primes_in_segment's one scatter rather than by its own strided store.
+_SCATTER_CROSSINGS = 64
 
 
 class CheckpointError(RuntimeError):
@@ -217,37 +227,74 @@ def _small_primes(limit: int) -> np.ndarray:
 
 
 def _primes_in_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
-    """Odd primes in [lo, hi] via an odd-only segmented sieve."""
+    """Odd primes in [lo, hi] via an odd-only segmented sieve.
+
+    Slot i of the mask stands for lo + 2i, and an odd prime p crosses off
+    every p-th slot from that of its first odd multiple >= max(p^2, lo).  A
+    prime crossing the segment at least _SCATTER_CROSSINGS times strikes its
+    slots with one strided store; all sparser primes strike theirs together,
+    in one scatter of their concatenated runs.
+    """
     lo = max(lo, 3)
     if lo % 2 == 0:
         lo += 1
     if lo > hi:
         return np.empty(0, dtype=np.int64)
     mask = np.ones((hi - lo) // 2 + 1, dtype=bool)
-    for p in base_primes:
-        p = int(p)
-        if p == 2:
-            continue
-        if p * p > hi:
-            break
-        start = max(p * p, (lo + p - 1) // p * p)
-        if start % 2 == 0:
-            start += p
-        mask[(start - lo) // 2 :: p] = False
+    odd = base_primes[(base_primes > 2) & (base_primes * base_primes <= hi)]
+    start = np.maximum(odd * odd, -(-lo // odd) * odd)
+    first = (start + odd * (start % 2 == 0) - lo) // 2
+    dense = odd <= mask.size // _SCATTER_CROSSINGS
+    for p, i in zip(odd[dense].tolist(), first[dense].tolist()):
+        mask[i::p] = False
+    step, slot = odd[~dense], first[~dense]
+    runs = np.maximum(0, (mask.size - 1 - slot) // step + 1)
+    # the k-th crossing of a run, k counted from the run's own start, is slot + k * step
+    k = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
+    mask[np.repeat(slot, runs) + k * np.repeat(step, runs)] = False
     return lo + 2 * np.flatnonzero(mask).astype(np.int64)
 
 
 def _powmod_vec(basev: np.ndarray, exp: np.ndarray | int, mod: np.ndarray) -> np.ndarray:
     """Elementwise base^exp % mod for int64 arrays (mod < 2^31.5, exp >= 0 an array or one int).
 
-    A fixed-length square-and-multiply from the top bit of exp.max(): every
-    element takes every step, and a multiply is kept only where its bit is set.
+    A fixed 3-bit-window (2^k-ary) exponentiation from the top window of
+    exp.max(), run over blocks of _POWMOD_BLOCK elements so that each block's
+    table of base^0 .. base^7 and its temporaries stay in cache.  Every
+    element takes every step: per window three squarings, then one multiply
+    by the table entry its window selects (about 1.33 products per exponent
+    bit, where a bitwise ladder takes 2).
     """
     result = np.ones_like(mod)
-    b = basev % mod
-    for bit in reversed(range(int(np.max(exp, initial=0)).bit_length())):
-        result = result * result % mod
-        np.copyto(result, result * b % mod, where=(exp >> bit) & 1 == 1)
+    top = int(np.max(exp, initial=0))
+    if not top:
+        return result
+    shifts = range(_WINDOW_BITS * ((top.bit_length() - 1) // _WINDOW_BITS), -1, -_WINDOW_BITS)
+    width = min(_POWMOD_BLOCK, mod.size)
+    # a window never selects a power above top, so a small exp builds a short table
+    table = np.empty((min(1 << _WINDOW_BITS, top + 1), width), dtype=np.int64)
+    table[0] = 1
+    flat, cols = table.reshape(-1), np.arange(width)
+    for lo in range(0, mod.size, _POWMOD_BLOCK):
+        m = mod[lo : lo + _POWMOD_BLOCK]
+        r = result[lo : lo + _POWMOD_BLOCK]
+        e = exp if np.ndim(exp) == 0 else exp[lo : lo + _POWMOD_BLOCK]
+        t, c = table[:, : m.size], cols[: m.size]
+        np.remainder(basev[lo : lo + _POWMOD_BLOCK], m, out=t[1])
+        for k in range(2, len(table)):
+            np.multiply(t[k - 1], t[1], out=t[k])
+            np.remainder(t[k], m, out=t[k])
+        for shift in shifts:
+            # table entry [window digit, column] of each element, read through the flat view
+            power = flat.take(((e >> shift) & ((1 << _WINDOW_BITS) - 1)) * width + c)
+            if shift == shifts[0]:
+                r[...] = power
+                continue
+            for _ in range(_WINDOW_BITS):
+                np.multiply(r, r, out=r)
+                np.remainder(r, m, out=r)
+            np.multiply(r, power, out=r)
+            np.remainder(r, m, out=r)
     return result
 
 
@@ -265,11 +312,16 @@ def _mod_vec(n: int, mod: np.ndarray) -> np.ndarray:
     return r
 
 
-def _strip_vec(values: np.ndarray, q: np.ndarray | int) -> np.ndarray:
-    """values with every factor q divided out, elementwise (values >= 1, q >= 2)."""
+def _strip_vec(values: np.ndarray, q: int) -> np.ndarray:
+    """values with every factor q divided out, elementwise (values >= 1, q >= 2).
+
+    Each pass divides, and then tests, only the elements still divisible by q.
+    """
     out = values.copy()
-    while (divisible := out % q == 0).any():
-        np.floor_divide(out, q, out=out, where=divisible)
+    idx = np.flatnonzero(out % q == 0)
+    while idx.size:
+        out[idx] //= q
+        idx = idx[out[idx] % q == 0]
     return out
 
 
@@ -330,6 +382,9 @@ def _count_segment(considered: int, ps, gbar, hit: np.ndarray) -> tuple[int, int
 # A record is these keys, holding a SegmentCount's fields in order, then
 # "config_fingerprint"; the key order is part of the checkpoint's bytes.
 _RECORD_KEYS = ("segment_start", "segment_end", "counted", "considered")
+# Each record is flushed as it is written, so a killed run loses none; an OS
+# crash loses at most the records of the last interval, which resume recounts.
+_FSYNC_INTERVAL_S = 1.0
 
 
 def _load_checkpoint(
@@ -390,7 +445,6 @@ def _append_checkpoint(fh, seg: SegmentCount, fingerprint: str) -> None:
     record = dict(zip(_RECORD_KEYS, astuple(seg)), config_fingerprint=fingerprint)
     fh.write(json.dumps(record) + "\n")
     fh.flush()
-    os.fsync(fh.fileno())
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +478,9 @@ def run_census(config: CensusConfig) -> CensusResult:
     split.  With a checkpoint path, finished segments are appended as JSON
     lines and skipped on resume (fingerprint-validated; a final line torn by
     a kill is dropped and its segment recounted, and on any other
-    inconsistency the run aborts rather than recounting).
+    inconsistency the run aborts rather than recounting).  Each line is
+    flushed as it is written and fsynced within _FSYNC_INTERVAL_S, and all
+    of them before the run returns.
     """
     segments = config.segments()
     done: dict[tuple[int, int], SegmentCount] = {}
@@ -442,11 +498,17 @@ def run_census(config: CensusConfig) -> CensusResult:
                 raise CheckpointError(
                     f"{config.checkpoint_path}: cannot append to the checkpoint: {exc.strerror}"
                 ) from None
+            # run before the file closes: every record is on disk when the run ends, or fails
+            stack.callback(os.fsync, log.fileno())
+        synced_at = time.monotonic()
         # strict: the driver is run to its end, which shuts its pool down
         for seg, counts in zip(pending, _map_segments(config, _count_segment, pending), strict=True):
             done[seg] = SegmentCount(*seg, *counts)
             if log is not None:
                 _append_checkpoint(log, done[seg], config.fingerprint)
+                if (now := time.monotonic()) - synced_at >= _FSYNC_INTERVAL_S:
+                    os.fsync(log.fileno())
+                    synced_at = now
     return CensusResult(tuple(done[seg] for seg in segments))
 
 

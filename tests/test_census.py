@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import logging
 import math
@@ -14,10 +15,12 @@ import pytest
 
 import orddiv
 from orddiv import census
-from orddiv.arith import divisors_of_dinfty, factorize, squarefree_divisors, valuation
+from orddiv.arith import divisors_of_dinfty, factorize, is_prime, squarefree_divisors, valuation
 from orddiv.base import RationalBase
 from orddiv.census import (
     _MAX_X_LIMIT,
+    _POWMOD_BLOCK,
+    _SCATTER_CROSSINGS,
     CensusConfig,
     CheckpointError,
     OrderRecord,
@@ -108,6 +111,21 @@ class TestVectorOrders:
         empty = np.empty(0, dtype=np.int64)
         assert _powmod_vec(empty, empty, empty).size == 0
 
+    def test_powmod_across_blocks_matches_pow(self):
+        # two whole blocks and a ragged third, moduli up to the cap
+        rng = np.random.default_rng(21)
+        n = 2 * _POWMOD_BLOCK + 1234
+        mods = rng.integers(2, _MAX_X_LIMIT + 1, n)
+        mods[-2000:] = _MAX_X_LIMIT - np.arange(2000)
+        bases = rng.integers(-(2**40), 2**40, n)
+        exps = rng.integers(0, 2**34, n)
+        exps[_POWMOD_BLOCK - 3 : _POWMOD_BLOCK + 3] = 0
+        for exp in (exps, 2**34 - 1, 6, 1, 0, np.zeros(n, dtype=np.int64)):
+            got = _powmod_vec(bases, exp, mods)
+            want = [pow(int(b), int(e), int(m))
+                    for b, e, m in zip(bases, np.broadcast_to(exp, n), mods)]
+            assert got.tolist() == want
+
     @pytest.mark.parametrize("g", [2, -3, Fraction(1, 2), 2**70 + 1])
     def test_two_adic_valuation_matches_full_order(self, g):
         # y = g^m and p - y = (-g)^m for m the odd part of p - 1
@@ -151,6 +169,26 @@ class TestSieve:
             hi = min(lo + 7918, 100_000)
             collected.extend(int(p) for p in _primes_in_segment(lo, hi, base))
         assert collected == whole
+
+    def test_small_segments_near_the_cap_match_is_prime(self):
+        base = _small_primes(math.isqrt(_MAX_X_LIMIT))
+        for lo in (2_999_000_001, 2_999_990_001, _MAX_X_LIMIT - 10**4 + 1):
+            hi = lo + 10**4 - 1
+            want = [n for n in range(lo, hi + 1) if n % 2 and is_prime(n)]
+            assert _primes_in_segment(lo, hi, base).tolist() == want
+
+    @pytest.mark.parametrize("width", [10**4 + 1, 10**5, 2 * 10**5 + 7])
+    def test_segments_on_both_sides_of_the_scatter_split(self, width):
+        # strided stores for base primes up to mask size / _SCATTER_CROSSINGS, one scatter above
+        x = 10**7
+        base = _small_primes(math.isqrt(x))
+        whole = _small_primes(x)
+        for lo in (x - width + 1, 7_654_321, x // 2):
+            hi = lo + width - 1
+            split = ((hi - lo) // 2 + 1) // _SCATTER_CROSSINGS
+            assert base[1] <= split < base[base * base <= hi][-1]
+            got = _primes_in_segment(lo, hi, base)
+            assert got.tolist() == whole[(whole >= lo) & (whole <= hi)].tolist()
 
 
 class TestRunCensus:
@@ -440,14 +478,23 @@ class TestCheckpoint:
         assert resumed.segments == fresh.segments
         assert pool_path.read_bytes() == written
 
-    def test_each_record_is_fsynced(self, tmp_path, monkeypatch):
-        synced = []
-        monkeypatch.setattr(census.os, "fsync", synced.append)
+    def test_fsync_once_per_interval_and_before_return(self, tmp_path, monkeypatch):
         path = tmp_path / "census.jsonl"
-        run_census(self._config(path, x=30_000))
-        assert len(synced) == 3
+        synced = []  # records on disk at each fsync: every record is flushed when written
+        monkeypatch.setattr(census.os, "fsync", lambda fd: synced.append(path.read_bytes().count(b"\n")))
+        # one clock reading at the start and one per record, 0.5 s apart: an
+        # interval of 1 s passes at the 2nd and 4th of the 5 records
+        clock = itertools.count(0.0, 0.5)
+        monkeypatch.setattr(census.time, "monotonic", lambda: next(clock))
+        run_census(self._config(path))
+        assert synced == [2, 4, 5]
+        path.unlink()
         synced.clear()
-        run_census(self._config(path, x=30_000))
+        monkeypatch.setattr(census.time, "monotonic", lambda: 0.0)
+        run_census(self._config(path))
+        assert synced == [5]
+        synced.clear()
+        run_census(self._config(path))  # a pure resume writes nothing
         assert synced == []
 
     def _write_foreign_after(self, path, valid_lines: int) -> None:
