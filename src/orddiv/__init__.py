@@ -33,11 +33,6 @@ from .census import (
     CensusResult,
     CheckpointError,
     KeyIdentityReport,
-    OrderRecord,
-    full_order,
-    order_divisible,
-    order_record,
-    reduce_mod_p,
     run_census,
     verify_key_identity,
     verify_order_flip,

@@ -23,7 +23,6 @@ __all__ = [
     "gcd_with_dinfty",
     "divisors_of_dinfty",
     "squarefree_divisors",
-    "squarefree_kernel",
     "squarefree_part",
 ]
 
@@ -234,13 +233,6 @@ def squarefree_divisors(d: int) -> list[tuple[int, int]]:
     for p in _factorize_cached(d).primes():
         pairs += [(a * p, -mu) for a, mu in pairs]
     return sorted(pairs)
-
-
-def squarefree_kernel(n: int) -> int:
-    """Product of the distinct primes dividing n (1 for n = 1)."""
-    if n < 1:
-        raise ValueError("squarefree_kernel requires n >= 1")
-    return math.prod(_factorize_cached(n).primes())
 
 
 def squarefree_part(n: int) -> int:

@@ -31,30 +31,19 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import (
-    Factorization,
-    divisors_of_dinfty,
-    factorize,
-    squarefree_divisors,
-    valuation,
-)
+from .arith import divisors_of_dinfty, factorize, squarefree_divisors
 from .base import RationalBase, as_base
 
 __all__ = [
     "CensusConfig",
     "CensusResult",
     "SegmentCount",
-    "OrderRecord",
     "CheckpointError",
-    "reduce_mod_p",
-    "order_divisible",
-    "full_order",
-    "order_record",
     "run_census",
     "verify_key_identity",
     "KeyIdentityReport",
@@ -122,8 +111,9 @@ class SegmentCount:
     considered: int
 
     def __post_init__(self) -> None:
-        if any(type(v) is not int for v in astuple(self)) or not 0 <= self.counted <= self.considered:
-            raise ValueError(f"segment {astuple(self)} needs int counts with 0 <= counted <= considered")
+        values = tuple(vars(self).values())
+        if any(type(v) is not int for v in values) or not 0 <= self.counted <= self.considered:
+            raise ValueError(f"segment {values} needs int counts with 0 <= counted <= considered")
 
 
 @dataclass(frozen=True)
@@ -143,70 +133,6 @@ class CensusResult:
         if self.considered == 0:
             raise ZeroDivisionError("no primes considered")
         return Fraction(self.counted, self.considered)
-
-
-@dataclass(frozen=True)
-class OrderRecord:
-    """Exact multiplicative data of g at one odd prime."""
-
-    p: int
-    gbar: int
-    order: int
-    residual_index: int
-
-    def __post_init__(self) -> None:
-        if self.order * self.residual_index != self.p - 1:
-            raise ValueError(f"order * residual_index is not p - 1 at p = {self.p}")
-
-
-# ---------------------------------------------------------------------------
-# scalar order machinery
-# ---------------------------------------------------------------------------
-
-
-def reduce_mod_p(g: RationalBase | int | str | Fraction, p: int) -> int:
-    """Residue of g1 * g2^(-1) in [1, p-1]; rejects primes dividing g1 g2."""
-    base = as_base(g)
-    if p < 3 or p % 2 == 0:
-        raise ValueError("p must be an odd prime")
-    if base.g1 % p == 0 or base.g2 % p == 0:
-        raise ValueError(f"{p} divides the numerator or denominator of g")
-    return base.g1 * pow(base.g2, -1, p) % p
-
-
-def order_divisible(p: int, gbar: int, d_factored: Factorization) -> bool:
-    """True iff d | ord_p(gbar), using one power test per prime factor of d.
-
-    For l^a || d and e = v_l(p-1): the order is divisible by l^a exactly
-    when e >= a and gbar^((p-1)/l^(e-a+1)) != 1 (mod p).
-    """
-    pm1 = p - 1
-    if pm1 % d_factored.value != 0:
-        return False
-    for ell, a in d_factored.factors:
-        e = valuation(ell, pm1)
-        if pow(gbar, pm1 // ell ** (e - a + 1), p) == 1:
-            return False
-    return True
-
-
-def full_order(p: int, gbar: int, p_minus_1_factored: Factorization) -> int:
-    """Exact multiplicative order of gbar modulo p."""
-    order = p - 1
-    for q, _ in p_minus_1_factored.factors:
-        while order % q == 0 and pow(gbar, order // q, p) == 1:
-            order //= q
-    return order
-
-
-def order_record(
-    g: RationalBase | int | str | Fraction, p: int, p_minus_1_factored: Factorization | None = None
-) -> OrderRecord:
-    gbar = reduce_mod_p(g, p)
-    if p_minus_1_factored is None:
-        p_minus_1_factored = factorize(p - 1)
-    order = full_order(p, gbar, p_minus_1_factored)
-    return OrderRecord(p=p, gbar=gbar, order=order, residual_index=(p - 1) // order)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +267,8 @@ def _segment_census(
     g2: int,
     d: int,
     d_factors: tuple[tuple[int, int], ...],
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    residues: bool = True,
+) -> tuple[int, np.ndarray, np.ndarray | None, np.ndarray]:
     """One segment: the number of odd primes in [lo, hi] at which g is a unit,
     the primes p among them with d | p - 1, g mod each, and whether d | ord_p(g).
 
@@ -349,7 +276,8 @@ def _segment_census(
     mod p, so g is never factored.  For l^a || d and d | p - 1, l^a divides
     ord_p(g) exactly when g^((p-1)/l^(v_l(p-1)-a+1)) != 1, and that exponent
     is the l-free part of p - 1 times l^(a-1).  A d >= hi divides no p - 1 in
-    the segment; it enters no arithmetic, so it need not fit in int64.
+    the segment; it enters no arithmetic, so it need not fit in int64.  With
+    residues false, g mod p is left None where no power test needs it (d = 1).
     """
     ps = _primes_in_segment(lo, hi, base_primes)
     ps = ps[_mod_vec(g1 * g2, ps) != 0]
@@ -357,7 +285,7 @@ def _segment_census(
     if d >= hi:
         return considered, ps[:0], ps[:0], np.ones(0, dtype=bool)
     ps = ps[(ps - 1) % d == 0]
-    gbar = _residues(g1, g2, ps)
+    gbar = _residues(g1, g2, ps) if residues or d_factors else None
     hit = np.ones(ps.size, dtype=bool)
     for ell, a in d_factors:
         hit &= _powmod_vec(gbar, _strip_vec(ps - 1, ell) * ell ** (a - 1), ps) != 1
@@ -442,7 +370,7 @@ def _load_checkpoint(
 
 
 def _append_checkpoint(fh, seg: SegmentCount, fingerprint: str) -> None:
-    record = dict(zip(_RECORD_KEYS, astuple(seg)), config_fingerprint=fingerprint)
+    record = dict(zip(_RECORD_KEYS, vars(seg).values()), config_fingerprint=fingerprint)
     fh.write(json.dumps(record) + "\n")
     fh.flush()
 
@@ -452,15 +380,18 @@ def _append_checkpoint(fh, seg: SegmentCount, fingerprint: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _map_segments(config: CensusConfig, reduce, segments: list[tuple[int, int]]):
+def _map_segments(
+    config: CensusConfig, reduce, segments: list[tuple[int, int]], residues: bool = True
+):
     """Yield reduce(*_segment_census(lo, hi, ...)) for each segment in order, the kernel's
-    arguments taken from config; serial for one worker or segment, else on a pool."""
+    arguments taken from config and residues; serial for one worker or segment, else on a pool."""
     kernel = {
         "base_primes": _small_primes(math.isqrt(config.x_limit)),
         "g1": config.g.g1,
         "g2": config.g.g2,
         "d": config.d,
         "d_factors": () if config.d >= config.x_limit else factorize(config.d).factors,
+        "residues": residues,
     }
     task = functools.partial(_segment_task, reduce, kernel)
     if config.worker_count == 1 or len(segments) <= 1:
@@ -501,8 +432,10 @@ def run_census(config: CensusConfig) -> CensusResult:
             # run before the file closes: every record is on disk when the run ends, or fails
             stack.callback(os.fsync, log.fileno())
         synced_at = time.monotonic()
+        # a count reads g mod p only in the power tests, so a d = 1 census runs no inverse ladder
+        driver = _map_segments(config, _count_segment, pending, residues=False)
         # strict: the driver is run to its end, which shuts its pool down
-        for seg, counts in zip(pending, _map_segments(config, _count_segment, pending), strict=True):
+        for seg, counts in zip(pending, driver, strict=True):
             done[seg] = SegmentCount(*seg, *counts)
             if log is not None:
                 _append_checkpoint(log, done[seg], config.fingerprint)

@@ -1,23 +1,26 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -rA` to see the summary lines.
-The census criterion (6) sieves sixteen rows to 10^8 and dominates the
-runtime of the whole suite (21-34 s of it on two cores).
+The order criterion (5) runs the census kernel itself and checks its counts
+and hit primes against SymPy's exact orders, which share no code with
+orddiv.  The census criterion (6) sieves sixteen rows to 10^8 and dominates
+the runtime of the whole suite (21-34 s of it on two cores).
 """
 
+import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from support import exact_order
 
 from orddiv.arith import factorize
 from orddiv.base import RationalBase, as_base
 from orddiv.census import (
     CensusConfig,
+    _segment_census,
     _small_primes,
-    full_order,
-    order_divisible,
-    reduce_mod_p,
     run_census,
     verify_key_identity,
     verify_order_flip,
@@ -116,26 +119,28 @@ def test_criterion_4_key_identity():
 
 
 def test_criterion_5_order_tests():
+    # the census kernel over [3, 10^5] against SymPy's exact order at every odd prime
     start = time.time()
-    primes = [int(p) for p in _small_primes(10**5) if p > 2]
-    d_facts = {d: factorize(d) for d in range(1, 49)}
-    comparisons = 0
+    x = 10**5
+    base_primes, primes = _small_primes(math.isqrt(x)), _small_primes(x)[1:]
+    kernel_runs = 0
     for g in (2, 3, -2, -4, Fraction(1, 2)):
         base = as_base(g)
-        for p in primes:
-            if base.g1 % p == 0 or base.g2 % p == 0:
-                continue
-            gbar = reduce_mod_p(base, p)
-            order = full_order(p, gbar, factorize(p - 1))
-            for d, fact in d_facts.items():
-                assert order_divisible(p, gbar, fact) == (order % d == 0), (g, p, d)
-                comparisons += 1
+        orders = np.array([exact_order(g, p) or 0 for p in primes.tolist()])  # 0: p | g1 g2
+        for d in range(1, 49):
+            considered, ps, _, hit = _segment_census(
+                3, x, base_primes, base.g1, base.g2, d, factorize(d).factors
+            )
+            assert considered == np.count_nonzero(orders), (g, d)
+            assert ps[hit].tolist() == primes[(orders != 0) & (orders % d == 0)].tolist(), (g, d)
+            kernel_runs += 1
     for g in (2, 3, 5):
         assert verify_order_flip(g, 10**4)
     elapsed = time.time() - start
     assert elapsed < 60.0
     _report(5, "order tests", elapsed,
-            f"{comparisons} divisibility comparisons + flip sweeps")
+            f"{kernel_runs} kernel runs against SymPy orders at {primes.size} odd primes"
+            " + flip sweeps")
 
 
 def test_criterion_6_empirical_census():

@@ -3,17 +3,15 @@ import itertools
 import json
 import logging
 import math
-import os
-import subprocess
-import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from support import exact_order, run_python
 
-import orddiv
 from orddiv import census
 from orddiv.arith import divisors_of_dinfty, factorize, is_prime, squarefree_divisors, valuation
 from orddiv.base import RationalBase
@@ -23,17 +21,13 @@ from orddiv.census import (
     _SCATTER_CROSSINGS,
     CensusConfig,
     CheckpointError,
-    OrderRecord,
     _powmod_vec,
     _primes_in_segment,
     _residues,
+    _segment_census,
     _small_primes,
     _strip_vec,
     _two_adic_valuation,
-    full_order,
-    order_divisible,
-    order_record,
-    reduce_mod_p,
     run_census,
     verify_key_identity,
     verify_order_flip,
@@ -44,52 +38,49 @@ from orddiv.census import (
 _HARD_BASE = (2**61 - 1) * (2**89 - 1)
 
 
+def _hit_primes(g: int | Fraction, d: int, x: int) -> list[int]:
+    """The odd primes p <= x with d | ord_p(g), by the census kernel over one segment."""
+    g = Fraction(g)
+    _, ps, _, hit = _segment_census(3, x, _small_primes(math.isqrt(x)), g.numerator,
+                                    g.denominator, d, factorize(d).factors)
+    return ps[hit].tolist()
+
+
 class TestReduceModP:
+    """g mod p as the kernel reads it: g1 * g2^(-1), at the primes dividing neither."""
+
     def test_examples(self):
-        assert reduce_mod_p(Fraction(1, 2), 3) == 2
-        assert reduce_mod_p(2, 7) == 2
-        assert reduce_mod_p(-4, 5) == 1
+        assert _residues(1, 2, np.array([3])).tolist() == [2]
+        assert _residues(2, 1, np.array([7])).tolist() == [2]
+        assert _residues(-4, 1, np.array([5])).tolist() == [1]
 
     def test_rejects_dividing_primes(self):
-        with pytest.raises(ValueError):
-            reduce_mod_p(Fraction(3, 5), 5)
-        with pytest.raises(ValueError):
-            reduce_mod_p(10, 5)
+        base = _small_primes(3)
+        assert _segment_census(3, 7, base, 3, 5, 1, ())[1].tolist() == [7]
+        assert _segment_census(3, 7, base, 10, 1, 1, ())[1].tolist() == [3, 7]
+        assert exact_order(Fraction(3, 5), 5) is exact_order(10, 5) is None
 
 
 class TestOrders:
     def test_full_order_examples(self):
-        assert full_order(7, 2, factorize(6)) == 3
-        assert full_order(11, 2, factorize(10)) == 10
-        assert full_order(13, 1, factorize(12)) == 1
+        assert (exact_order(2, 7), exact_order(2, 11), exact_order(1, 13)) == (3, 10, 1)
+        # the kernel's power tests find each order's divisors and nothing else
+        for g, p, order in ((2, 7, 3), (2, 11, 10), (1, 13, 1)):
+            assert [d for d in range(1, p) if p in _hit_primes(g, d, p)] == sympy.divisors(order)
 
     def test_order_record_invariants(self):
         for p in (5, 7, 11, 101, 99991):
-            rec = order_record(2, p)
-            assert rec.order * rec.residual_index == p - 1
-            assert pow(rec.gbar, rec.order, p) == 1
-            for q, _ in factorize(rec.order).factors:
-                assert pow(rec.gbar, rec.order // q, p) != 1
+            order = exact_order(2, p)
+            assert (p - 1) % order == 0
+            assert pow(2, order, p) == 1
+            for q in sympy.primefactors(order):
+                assert pow(2, order // q, p) != 1
+            assert p in _hit_primes(2, order, p)
 
     def test_order_divisible_examples(self):
-        assert order_divisible(7, 2, factorize(2)) is False
-        assert order_divisible(5, 2, factorize(4)) is True
-        assert order_divisible(11, 2, factorize(3)) is False
-
-    def test_divisible_matches_full_order(self):
-        # fast power test vs exact order, moderate sweep (the acceptance
-        # suite runs the full one)
-        primes = [int(p) for p in _small_primes(3000) if p > 2]
-        d_facts = {d: factorize(d) for d in range(1, 49)}
-        for g in (2, 3, -2, -4, Fraction(1, 2)):
-            for p in primes:
-                try:
-                    gbar = reduce_mod_p(g, p)
-                except ValueError:
-                    continue
-                order = full_order(p, gbar, factorize(p - 1))
-                for d, fact in d_facts.items():
-                    assert order_divisible(p, gbar, fact) == (order % d == 0)
+        assert 7 not in _hit_primes(2, 2, 7)
+        assert 5 in _hit_primes(2, 4, 5)
+        assert 11 not in _hit_primes(2, 3, 11)
 
 
 class TestVectorOrders:
@@ -134,8 +125,7 @@ class TestVectorOrders:
         ps = ps[[(base.g1 * base.g2) % p != 0 for p in ps.tolist()]]
         y = _powmod_vec(_residues(base.g1, base.g2, ps), _strip_vec(ps - 1, 2), ps)
         for h, yh in ((Fraction(g), y), (-Fraction(g), ps - y)):
-            want = [valuation(2, full_order(p, reduce_mod_p(h, p), factorize(p - 1)))
-                    for p in ps.tolist()]
+            want = [valuation(2, exact_order(h, p)) for p in ps.tolist()]
             assert _two_adic_valuation(yh, ps).tolist() == want
 
     @pytest.mark.parametrize("g, d", [(Fraction(8, 27), 4), (-9, 6), (7, 30)])
@@ -144,17 +134,14 @@ class TestVectorOrders:
         vs = divisors_of_dinfty(d, (x - 1) // d)
         lhs, blocks = 0, dict.fromkeys(vs, 0)
         for p in _small_primes(x)[1:].tolist():
-            if d % p == 0:
+            order = exact_order(g, p)
+            if d % p == 0 or order is None:  # None: p divides g1 * g2
                 continue
-            try:
-                rec = order_record(g, p)
-            except ValueError:  # p divides g1 * g2
-                continue
-            lhs += rec.order % d == 0
+            lhs += order % d == 0
             for v in vs:
                 if (p - 1) % (d * v) == 0:
                     for alpha, mu in squarefree_divisors(d):
-                        blocks[v] += mu * (rec.residual_index % (alpha * v) == 0)
+                        blocks[v] += mu * ((p - 1) // order % (alpha * v) == 0)
         report = verify_key_identity(g, d, x)
         assert report.lhs == lhs
         assert report.blocks == tuple(blocks.items())
@@ -199,6 +186,19 @@ class TestRunCensus:
     def test_d_one_counts_everything(self):
         result = run_census(CensusConfig(RationalBase(2, 1), 1, 100, segment_size=10**4))
         assert (result.counted, result.considered) == (24, 24)
+
+    def test_d_one_runs_no_residue_ladder(self, monkeypatch):
+        # every prime counts at d = 1, so the census computes no g mod p (for 1/2, an inverse
+        # ladder); a d = 2 census and both verifiers, which read g mod p, still compute it
+        calls = []
+        residues = census._residues
+        monkeypatch.setattr(census, "_residues", lambda *a: calls.append(a[:2]) or residues(*a))
+        result = run_census(CensusConfig(Fraction(1, 2), 1, 30_000, segment_size=10**4))
+        assert (result.counted, result.considered, calls) == (3244, 3244, [])
+        run_census(CensusConfig(Fraction(1, 2), 2, 30_000, segment_size=10**4))
+        assert verify_order_flip(Fraction(1, 2), 30_000)
+        assert verify_key_identity(Fraction(1, 2), 1, 30_000).lhs == 3244
+        assert calls == [(1, 2)] * 5
 
     def test_rational_base(self):
         # ord_p(1/2) = ord_p(2), so censuses agree wherever both defined
@@ -250,21 +250,18 @@ class TestRunCensus:
     def test_segment_ledger_sums(self):
         cfg = CensusConfig(RationalBase(2, 1), 2, 100_000, segment_size=10**4)
         result = run_census(cfg)
-        assert sum(s.counted for s in result.segments) == result.counted
-        assert sum(s.considered for s in result.segments) == result.considered
         assert [s.start for s in result.segments] == list(range(3, 100_001, 10**4))
 
     def test_partition_by_order_gcd(self):
         # every considered prime lands in exactly one gcd(ord, 2d) class, and
         # the d-divisible classes add up to the census count
-        g, d, x = RationalBase(-9, 1), 6, 10_000
+        g, d, x = -9, 6, 10_000
         result = run_census(CensusConfig(g, d, x, segment_size=10**4))
         classes: dict[int, int] = {}
         for p in (int(q) for q in _small_primes(x) if q > 2):
             if 9 % p == 0:
                 continue
-            rec = order_record(g, p)
-            key = math.gcd(rec.order, 2 * d)
+            key = math.gcd(exact_order(g, p), 2 * d)
             classes[key] = classes.get(key, 0) + 1
         assert sum(classes.values()) == result.considered
         assert all((2 * d) % key == 0 for key in classes)
@@ -278,12 +275,10 @@ class TestRunCensus:
         x = 20_000
         counted = considered = 0
         for p in (int(q) for q in _small_primes(x) if q > 2):
-            try:
-                gbar = reduce_mod_p(g, p)
-            except ValueError:
+            if (order := exact_order(g, p)) is None:
                 continue
             considered += 1
-            counted += order_divisible(p, gbar, factorize(d))
+            counted += order % d == 0
         result = run_census(CensusConfig(RationalBase.from_value(g), d, x, segment_size=10**4))
         assert (result.counted, result.considered) == (counted, considered)
 
@@ -307,13 +302,11 @@ class TestRunCensus:
         counted = considered = 0
         flips = []
         for p in _small_primes(x)[1:].tolist():
-            try:
-                gbar = reduce_mod_p(g, p)
-            except ValueError:
+            if (order := exact_order(g, p)) is None:
                 continue
             considered += 1
-            counted += order_divisible(p, gbar, factorize(d))
-            t, t_neg = (valuation(2, full_order(p, r, factorize(p - 1))) for r in (gbar, p - gbar))
+            counted += order % d == 0
+            t, t_neg = valuation(2, order), valuation(2, exact_order(-Fraction(g), p))
             flips.append(t_neg == {0: 1, 1: 0}.get(t, t))
         result = run_census(CensusConfig(g, d, x, segment_size=10**4))
         assert (result.counted, result.considered) == (counted, considered)
@@ -325,9 +318,7 @@ class TestRunCensus:
         # a d >= x divides no p - 1 <= x, so the census never factors it
         code = ("from orddiv.census import CensusConfig, run_census\n"
                 f"print(run_census(CensusConfig(2, {_HARD_BASE}, 1000)).counted)")
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orddiv.__file__)))
-        run = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, timeout=60)
+        run = run_python("-c", code)
         assert (run.returncode, run.stdout) == (0, "0\n")
 
     def test_never_factors_g(self, monkeypatch):
@@ -598,11 +589,12 @@ class TestKeyIdentity:
 class TestOrderFlip:
     def test_specific_primes(self):
         # ord_7(2) = 3 is odd, so ord_7(-2) doubles to 6
-        assert full_order(7, 2, factorize(6)) == 3
-        assert full_order(7, 5, factorize(6)) == 6
+        assert exact_order(2, 7) == 3
+        assert exact_order(-2, 7) == 6
         # ord_5(2) = 4 is divisible by 4, so ord_5(-2) = 4
-        assert full_order(5, 2, factorize(4)) == 4
-        assert full_order(5, 3, factorize(4)) == 4
+        assert exact_order(2, 5) == 4
+        assert exact_order(-2, 5) == 4
+        assert verify_order_flip(2, 7)
 
     def test_sweep(self):
         assert verify_order_flip(2, 10_000)
@@ -652,20 +644,14 @@ class TestStatelessDriver:
         assert threaded == serial
 
 
-class TestOrderRecordType:
-    def test_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            OrderRecord(p=7, gbar=2, order=3, residual_index=3)
-
+class TestRecordTypes:
     def test_invariants_survive_optimize(self):
         # python -O strips assert statements; the invariants must not go with them
         code = (
             "from orddiv.census import SegmentCount\n"
             "SegmentCount(3, 10002, counted=5, considered=3)"
         )
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orddiv.__file__)))
-        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                             capture_output=True, text=True, timeout=60)
+        run = run_python("-O", "-c", code)
         assert run.returncode == 1
         assert "ValueError" in run.stderr
 

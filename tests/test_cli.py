@@ -3,12 +3,11 @@ import io
 import json
 import os
 import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
+from support import run_python
 
-import orddiv
 from orddiv import cli
 from orddiv.cli import decimal_string, main
 from orddiv.density import density
@@ -60,12 +59,8 @@ class TestExitCodes:
 
     def test_bad_threads_env(self):
         # a garbage ORDDIV_THREADS is a usage error of census alone
-        env = dict(os.environ, ORDDIV_THREADS="abc",
-                   PYTHONPATH=os.path.dirname(os.path.dirname(orddiv.__file__)))
-
         def run(*argv):
-            return subprocess.run([sys.executable, "-m", "orddiv.cli", *argv], env=env,
-                                  capture_output=True, text=True, timeout=60)
+            return run_python("-m", "orddiv.cli", *argv, env={"ORDDIV_THREADS": "abc"})
 
         census = run("census", "-g", "2", "-d", "2", "-x", "100")
         assert census.returncode == 2
@@ -82,12 +77,10 @@ class TestExitCodes:
     ])
     def test_closed_stdout_exits_quietly(self, argv):
         # stdout is a pipe whose reader has already gone
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orddiv.__file__)))
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            run = subprocess.run([sys.executable, "-m", "orddiv.cli", *argv], env=env,
-                                 stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+            run = run_python("-m", "orddiv.cli", *argv, stdout=write_end, stderr=subprocess.PIPE)
         finally:
             os.close(write_end)
         assert (run.returncode, run.stderr) == (1, b"")
@@ -126,9 +119,7 @@ class TestExitCodes:
         assert main(argv) == 0
         fresh = capsys.readouterr().out
         path.write_bytes(path.read_bytes()[:-10])
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orddiv.__file__)))
-        resumed = subprocess.run([sys.executable, "-m", "orddiv.cli", *argv], env=env,
-                                 capture_output=True, text=True, timeout=60)
+        resumed = run_python("-m", "orddiv.cli", *argv)
         assert resumed.returncode == 0
         assert resumed.stdout == fresh
         assert resumed.stderr.count("\n") == 1
@@ -309,19 +300,15 @@ class TestVerifyCommand:
 
     def test_base_out_of_factoring_reach(self):
         # (2^61 - 1)(2^89 - 1): verify never factors g, so it ends at once
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orddiv.__file__)))
         argv = ["verify", "-g", str((2**61 - 1) * (2**89 - 1)), "-d", "2", "-x", "1000"]
-        run = subprocess.run([sys.executable, "-m", "orddiv.cli", *argv], env=env,
-                             capture_output=True, text=True, timeout=60)
+        run = run_python("-m", "orddiv.cli", *argv)
         assert run.returncode == 0
         assert run.stdout.endswith("result = PASS\n")
 
     def test_d_out_of_factoring_reach(self):
         # (2^61 - 1)(2^89 - 1) >= x divides no p - 1 <= x: verify never factors it
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orddiv.__file__)))
         argv = ["verify", "-g", "2", "-d", str((2**61 - 1) * (2**89 - 1)), "-x", "1000"]
-        run = subprocess.run([sys.executable, "-m", "orddiv.cli", *argv], env=env,
-                             capture_output=True, text=True, timeout=60)
+        run = run_python("-m", "orddiv.cli", *argv)
         assert run.returncode == 0
         assert run.stdout.endswith("blocks: v=1:0\nresult = PASS\n")
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from orddiv.arith import divisors_of_dinfty, euler_phi, squarefree_divisors
 from orddiv.base import decompose
@@ -62,7 +63,7 @@ class TestDegree:
             degree(8, 3, decompose(2))
 
     def test_integral_and_bounded_quotient(self):
-        pairs = [(kr, k) for kr in range(1, 10_001) for k in _divisors(kr)]
+        pairs = [(kr, k) for kr in range(1, 10_001) for k in sympy.divisors(kr)]
         for g in FIXTURE_BASES:
             dec = decompose(g)
             h = dec.h
@@ -111,16 +112,6 @@ class TestDegree:
                 q = 1.0 / deg
                 sigma = math.sqrt(q * (1 - q) / total)
                 assert abs(splits / total - q) <= 3 * sigma, (g, kr, k)
-
-
-def _divisors(n: int) -> list[int]:
-    divs = []
-    for a in range(1, math.isqrt(n) + 1):
-        if n % a == 0:
-            divs.append(a)
-            if a != n // a:
-                divs.append(n // a)
-    return sorted(divs)
 
 
 TABLE_PAIRS = [
