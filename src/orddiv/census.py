@@ -11,12 +11,14 @@ l-free part of p - 1 and a single power test, never from a full order
 computation.  A prime is left out when g is not a unit modulo it, which
 the kernel reads from the residue of g1 * g2: g itself is never factored.
 
-One driver runs that kernel segment by segment, serially or on a process
-pool, and reduces each segment's output.  Both paths map the same task,
-bound per call to its reducer and kernel arguments: the driver keeps no
-module state, so runs on threads of one process do not see each other.
-`run_census` counts, checkpointing one JSON line per segment so long runs
-resume after a fingerprint check; `verify_key_identity` and
+One driver runs that kernel over runs of consecutive segments, serially or
+on a process pool: each task is one kernel call over its run, at most
+_TASK_SPAN numbers wide unless a single segment is wider, and its output
+is split at the segment ends and reduced segment by segment.  Both paths
+map the same task, bound per call to its reducer and kernel arguments: the
+driver keeps no module state, so runs on threads of one process do not see
+each other.  `run_census` counts, checkpointing one JSON line per segment
+so long runs resume after a fingerprint check; `verify_key_identity` and
 `verify_order_flip` sum their own results on one worker, in memory bounded
 by the segment size, and decide every order property by power tests too.
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import json
 import logging
 import math
@@ -61,6 +64,10 @@ _POWMOD_BLOCK = 1 << 15
 # A base prime that crosses a sieve segment fewer times than this is struck
 # in _primes_in_segment's one scatter rather than by its own strided store.
 _SCATTER_CROSSINGS = 64
+# The widest range one driver task hands the kernel when its segments are
+# narrower: CensusConfig's default segment size, so a task's working set
+# (~50 MiB) is never more than one default segment's.
+_TASK_SPAN = 10_000_000
 
 
 class CheckpointError(RuntimeError):
@@ -241,8 +248,12 @@ def _mod_vec(n: int, mod: np.ndarray) -> np.ndarray:
 def _strip_vec(values: np.ndarray, q: int) -> np.ndarray:
     """values with every factor q divided out, elementwise (values >= 1, q >= 2).
 
-    Each pass divides, and then tests, only the elements still divisible by q.
+    For q = 2 that is one division by each value's lowest set bit, v & -v.
+    Otherwise each pass divides, and then tests, only the elements still
+    divisible by q.
     """
+    if q == 2:
+        return values // (values & -values)
     out = values.copy()
     idx = np.flatnonzero(out % q == 0)
     while idx.size:
@@ -268,23 +279,22 @@ def _segment_census(
     d: int,
     d_factors: tuple[tuple[int, int], ...],
     residues: bool = True,
-) -> tuple[int, np.ndarray, np.ndarray | None, np.ndarray]:
-    """One segment: the number of odd primes in [lo, hi] at which g is a unit,
-    the primes p among them with d | p - 1, g mod each, and whether d | ord_p(g).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+    """One range: the odd primes in [lo, hi] at which g is a unit, the primes
+    p among them with d | p - 1, g mod each, and whether d | ord_p(g).
 
     A prime p is left out when p | g1 * g2, read from the residue of g1 * g2
     mod p, so g is never factored.  For l^a || d and d | p - 1, l^a divides
     ord_p(g) exactly when g^((p-1)/l^(v_l(p-1)-a+1)) != 1, and that exponent
     is the l-free part of p - 1 times l^(a-1).  A d >= hi divides no p - 1 in
-    the segment; it enters no arithmetic, so it need not fit in int64.  With
+    the range; it enters no arithmetic, so it need not fit in int64.  With
     residues false, g mod p is left None where no power test needs it (d = 1).
     """
-    ps = _primes_in_segment(lo, hi, base_primes)
-    ps = ps[_mod_vec(g1 * g2, ps) != 0]
-    considered = int(ps.size)
+    considered = _primes_in_segment(lo, hi, base_primes)
+    considered = considered[_mod_vec(g1 * g2, considered) != 0]
     if d >= hi:
-        return considered, ps[:0], ps[:0], np.ones(0, dtype=bool)
-    ps = ps[(ps - 1) % d == 0]
+        return considered, considered[:0], considered[:0], np.ones(0, dtype=bool)
+    ps = considered[(considered - 1) % d == 0]
     gbar = _residues(g1, g2, ps) if residues or d_factors else None
     hit = np.ones(ps.size, dtype=bool)
     for ell, a in d_factors:
@@ -292,9 +302,19 @@ def _segment_census(
     return considered, ps, gbar, hit
 
 
-def _segment_task(reduce, kernel: dict, bounds: tuple[int, int]):
-    """reduce applied to the kernel's output over one segment."""
-    return reduce(*_segment_census(bounds[0], bounds[1], **kernel))
+def _run_task(reduce, kernel: dict, run: list[tuple[int, int]]) -> list:
+    """reduce applied to each segment's share of one kernel call over a run of consecutive segments.
+
+    A segment [lo, hi] gets the kernel's primes up to hi that no earlier
+    segment of the run took; reduce sees the count of its considered primes.
+    """
+    considered, ps, gbar, hit = _segment_census(run[0][0], run[-1][1], **kernel)
+    ends = [hi for _, hi in run[:-1]]
+    counts = np.diff(np.searchsorted(considered, ends, side="right"), prepend=0,
+                     append=considered.size).tolist()
+    cuts = np.searchsorted(ps, ends, side="right")
+    gbars = [None] * len(run) if gbar is None else np.split(gbar, cuts)
+    return list(map(reduce, counts, np.split(ps, cuts), gbars, np.split(hit, cuts)))
 
 
 def _count_segment(considered: int, ps, gbar, hit: np.ndarray) -> tuple[int, int]:
@@ -383,8 +403,15 @@ def _append_checkpoint(fh, seg: SegmentCount, fingerprint: str) -> None:
 def _map_segments(
     config: CensusConfig, reduce, segments: list[tuple[int, int]], residues: bool = True
 ):
-    """Yield reduce(*_segment_census(lo, hi, ...)) for each segment in order, the kernel's
-    arguments taken from config and residues; serial for one worker or segment, else on a pool."""
+    """Yield reduce(considered, ps, gbar, hit) for each segment in order, the kernel's
+    arguments taken from config and residues.
+
+    Each task is one kernel call over a run of consecutive segments: a run
+    never bridges a gap between them, and holds at most _TASK_SPAN //
+    segment_size of them (one if wider) and at most its share of them per
+    worker, so a pool still gets a task per worker.  Serial for one worker or
+    run, else on a pool.
+    """
     kernel = {
         "base_primes": _small_primes(math.isqrt(config.x_limit)),
         "g1": config.g.g1,
@@ -393,13 +420,21 @@ def _map_segments(
         "d_factors": () if config.d >= config.x_limit else factorize(config.d).factors,
         "residues": residues,
     }
-    task = functools.partial(_segment_task, reduce, kernel)
-    if config.worker_count == 1 or len(segments) <= 1:
-        yield from map(task, segments)
+    per_run = min(max(1, _TASK_SPAN // config.segment_size),
+                  -(-len(segments) // config.worker_count))
+    runs: list[list[tuple[int, int]]] = []
+    for seg in segments:
+        if runs and len(runs[-1]) < per_run and runs[-1][-1][1] + 1 == seg[0]:
+            runs[-1].append(seg)
+        else:
+            runs.append([seg])
+    task = functools.partial(_run_task, reduce, kernel)
+    if config.worker_count == 1 or len(runs) <= 1:
+        yield from itertools.chain.from_iterable(map(task, runs))
         return
-    with ProcessPoolExecutor(max_workers=min(config.worker_count, len(segments))) as pool:
-        # Executor.map submits every segment up front and yields in order.
-        yield from pool.map(task, segments)
+    with ProcessPoolExecutor(max_workers=min(config.worker_count, len(runs))) as pool:
+        # Executor.map submits every run up front and yields in order.
+        yield from itertools.chain.from_iterable(pool.map(task, runs))
 
 
 def run_census(config: CensusConfig) -> CensusResult:
@@ -409,9 +444,11 @@ def run_census(config: CensusConfig) -> CensusResult:
     split.  With a checkpoint path, finished segments are appended as JSON
     lines and skipped on resume (fingerprint-validated; a final line torn by
     a kill is dropped and its segment recounted, and on any other
-    inconsistency the run aborts rather than recounting).  Each line is
-    flushed as it is written and fsynced within _FSYNC_INTERVAL_S, and all
-    of them before the run returns.
+    inconsistency the run aborts rather than recounting).  A task's records
+    are written as it finishes, each line flushed as it is written and
+    fsynced within _FSYNC_INTERVAL_S, and all of them before the run
+    returns; a killed run loses only the tasks in flight, each at most
+    _TASK_SPAN numbers wide unless a single segment is wider.
     """
     segments = config.segments()
     done: dict[tuple[int, int], SegmentCount] = {}

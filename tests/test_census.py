@@ -117,6 +117,25 @@ class TestVectorOrders:
                     for b, e, m in zip(bases, np.broadcast_to(exp, n), mods)]
             assert got.tolist() == want
 
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_strip_matches_loop(self, q):
+        rng = np.random.default_rng(22)
+        values = np.concatenate([
+            rng.integers(1, _MAX_X_LIMIT + 1, 5000),
+            q ** np.arange(int(math.log(2**62, q)) + 1, dtype=np.int64),  # exact powers of q
+            _MAX_X_LIMIT - np.arange(1000),
+            rng.integers(1, 2**20, 1000) * q ** rng.integers(0, 11, 1000),
+        ])
+        before = values.copy()
+
+        def strip(v):
+            while v % q == 0:
+                v //= q
+            return v
+
+        assert _strip_vec(values, q).tolist() == [strip(v) for v in values.tolist()]
+        assert np.array_equal(values, before)
+
     @pytest.mark.parametrize("g", [2, -3, Fraction(1, 2), 2**70 + 1])
     def test_two_adic_valuation_matches_full_order(self, g):
         # y = g^m and p - y = (-g)^m for m the odd part of p - 1
@@ -189,16 +208,21 @@ class TestRunCensus:
 
     def test_d_one_runs_no_residue_ladder(self, monkeypatch):
         # every prime counts at d = 1, so the census computes no g mod p (for 1/2, an inverse
-        # ladder); a d = 2 census and both verifiers, which read g mod p, still compute it
+        # ladder); a d = 2 census and both verifiers, which read g mod p, compute it once per task
         calls = []
         residues = census._residues
         monkeypatch.setattr(census, "_residues", lambda *a: calls.append(a[:2]) or residues(*a))
         result = run_census(CensusConfig(Fraction(1, 2), 1, 30_000, segment_size=10**4))
         assert (result.counted, result.considered, calls) == (3244, 3244, [])
-        run_census(CensusConfig(Fraction(1, 2), 2, 30_000, segment_size=10**4))
+        run_census(CensusConfig(Fraction(1, 2), 2, 30_000, segment_size=10**4))  # one task
         assert verify_order_flip(Fraction(1, 2), 30_000)
         assert verify_key_identity(Fraction(1, 2), 1, 30_000).lhs == 3244
-        assert calls == [(1, 2)] * 5
+        assert calls == [(1, 2)] * 3
+        calls.clear()
+        monkeypatch.setattr(census, "_TASK_SPAN", 2 * 10**4)  # a task of 2 segments, then of 1
+        run_census(CensusConfig(Fraction(1, 2), 1, 30_000, segment_size=10**4))
+        run_census(CensusConfig(Fraction(1, 2), 2, 30_000, segment_size=10**4))
+        assert calls == [(1, 2)] * 2
 
     def test_rational_base(self):
         # ord_p(1/2) = ord_p(2), so censuses agree wherever both defined
@@ -518,14 +542,21 @@ class TestCheckpoint:
         assert run_census(self._config(path, x=30_000)) == fresh
 
 
-def _split_verifier_segments(monkeypatch) -> list:
-    """Make the verifiers' default config use 10^4-wide segments; returns the kernel's calls."""
-    kernel_calls = []
+def _record_kernel_calls(monkeypatch) -> list:
+    """Returns the (lo, hi) of every kernel call made in this process from now on."""
+    calls = []
     segment_census = census._segment_census
-    monkeypatch.setattr(census, "CensusConfig", functools.partial(CensusConfig, segment_size=10**4))
     monkeypatch.setattr(census, "_segment_census",
-                        lambda *a, **k: kernel_calls.append(a[:2]) or segment_census(*a, **k))
-    return kernel_calls
+                        lambda lo, hi, **k: calls.append((lo, hi)) or segment_census(lo, hi, **k))
+    return calls
+
+
+def _split_verifier_segments(monkeypatch) -> list:
+    """Make the verifiers' default config use 10^4-wide segments, one kernel call each;
+    returns the kernel's calls."""
+    monkeypatch.setattr(census, "CensusConfig", functools.partial(CensusConfig, segment_size=10**4))
+    monkeypatch.setattr(census, "_TASK_SPAN", 10**4)
+    return _record_kernel_calls(monkeypatch)
 
 
 class TestKeyIdentity:
@@ -610,6 +641,57 @@ class TestOrderFlip:
         kernel_calls = _split_verifier_segments(monkeypatch)
         assert verify_order_flip(g, 200_000) is whole is True
         assert len(kernel_calls) == 20
+
+
+class TestBatchedDriver:
+    """One kernel call per run of consecutive segments gives each segment what its own call would."""
+
+    # 10 segments, the last one short; the segment ends 10067, 30197 and 70457 are prime
+    X, SEGMENT = 95_000, 10_065
+
+    def _config(self, g, d, workers=1, path=None):
+        return CensusConfig(g, d, self.X, segment_size=self.SEGMENT, worker_count=workers,
+                            checkpoint_path=path)
+
+    @pytest.mark.parametrize("g, d", [(2, 2), (Fraction(1, 2), 1), (-9, 6), (Fraction(8, 27), 4),
+                                      (3, 95_000), (2, 2**70 + 1)])
+    def test_runs_match_one_segment_per_task(self, g, d, tmp_path, monkeypatch):
+        segments = self._config(g, d).segments()
+        primes = set(_small_primes(self.X).tolist())
+        assert self.X % self.SEGMENT
+        assert [hi for _, hi in segments if hi in primes] == [10067, 30197, 70457]
+        calls = _record_kernel_calls(monkeypatch)
+        out = {}
+        # runs of 10 segments (1 worker) or of 5 (2 workers), then runs of 3 that end mid-range
+        for span in (census._TASK_SPAN, 3 * self.SEGMENT, self.SEGMENT):
+            monkeypatch.setattr(census, "_TASK_SPAN", span)
+            for workers in (1, 2):
+                path = tmp_path / f"{span}-{workers}.jsonl"
+                result = run_census(self._config(g, d, workers, path))
+                out[span, workers] = result.segments, path.read_bytes()
+        assert calls[:5] == [(3, 95_000),  # the pools' calls run in their workers
+                             (3, 30197), (30198, 60392), (60393, 90587), (90588, 95_000)]
+        assert len(calls) == 5 + 10
+        single = out[self.SEGMENT, 1]
+        assert [seg.start for seg in single[0]] == [lo for lo, _ in segments]
+        assert all(value == single for value in out.values())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resume_with_holes_matches_uninterrupted(self, workers, tmp_path, monkeypatch):
+        path = tmp_path / "census.jsonl"
+        config = self._config(-9, 6, workers, path)
+        full = run_census(config)
+        lines = path.read_bytes().splitlines(keepends=True)
+        kept = lines[0:5:2]  # lines 1, 3 and 5: segments 2, 4 and 6 onwards are pending
+        path.write_bytes(b"".join(kept))
+        calls = _record_kernel_calls(monkeypatch)
+        assert run_census(config) == full
+        assert path.read_bytes() == b"".join(kept + lines[1:5:2] + lines[5:])
+        if workers == 1:
+            segments = config.segments()
+            assert calls == [segments[1], segments[3], (segments[5][0], self.X)]
+            done = [json.loads(line)["segment_start"] for line in kept]
+            assert not any(lo <= start <= hi for lo, hi in calls for start in done)
 
 
 class TestStatelessDriver:
