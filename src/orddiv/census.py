@@ -518,17 +518,39 @@ def _two_adic_valuation(y: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return val
 
 
-def _identity_segment(d: int, vs: tuple[int, ...], considered: int, ps, gbar, hit) -> list[int]:
-    """lhs, then each v-block of verify_key_identity's rhs, over one segment."""
+def _smooth_part(values: np.ndarray, ells: tuple[int, ...]) -> np.ndarray:
+    """The part of each value made of the primes ells, elementwise (values >= 1)."""
+    rough = values
+    for ell in ells:
+        rough = _strip_vec(rough, ell)
+    return values // rough
+
+
+def _identity_segment(
+    d: int, ells: tuple[int, ...], vs: tuple[int, ...], considered: int, ps, gbar, hit
+) -> list[int]:
+    """lhs, then each v-block of verify_key_identity's rhs, over one segment.
+
+    For v | d^inf, p = 1 (mod dv) exactly when v divides the d-smooth part of
+    (p - 1)/d, which is taken once per segment from the primes ells of d.  A
+    block with no such prime counts 0 and runs no ladder.
+    """
     if not ps.size:  # with no prime left, d may be past int64 (see _segment_census)
         return [0] * (1 + len(vs))
     counts = [int(np.count_nonzero(hit))]
     alphas = squarefree_divisors(d)
     rad = alphas[-1][0]
+    smooth = _smooth_part((ps - 1) // d, ells)
     for v in vs:
-        keep = (ps - 1) % (d * v) == 0
-        sel = ps[keep]
-        y = _powmod_vec(gbar[keep], (sel - 1) // (rad * v), sel)
+        if v == 1:  # every prime, with no copy
+            sel, base = ps, gbar
+        else:
+            keep = smooth % v == 0
+            sel, base = ps[keep], gbar[keep]
+        if not sel.size:
+            counts.append(0)
+            continue
+        y = _powmod_vec(base, (sel - 1) // (rad * v), sel)
         counts.append(sum(mu * int(np.count_nonzero(_powmod_vec(y, rad // alpha, sel) == 1))
                           for alpha, mu in alphas))
     return counts
@@ -552,8 +574,11 @@ def verify_key_identity(
     segments, with x and d bounded as in CensusConfig.
     """
     config = CensusConfig(g, d, x)
-    vs = (1,) if d >= x else tuple(divisors_of_dinfty(d, (x - 1) // d))
-    reduce = functools.partial(_identity_segment, d, vs)
+    if d >= x:  # no p <= x has d | p - 1: d is not factored
+        ells, vs = (), (1,)
+    else:
+        ells, vs = factorize(d).primes(), tuple(divisors_of_dinfty(d, (x - 1) // d))
+    reduce = functools.partial(_identity_segment, d, ells, vs)
     lhs, *counts = map(sum, zip(*_map_segments(config, reduce, config.segments())))
     return KeyIdentityReport(config.g, d, x, lhs, tuple(zip(vs, counts)))
 

@@ -60,7 +60,27 @@ def degree_params(decomposition: BaseDecomposition) -> int:
 
 def _halving_threshold(h: int, r: int, disc: int) -> int:
     """n_r = lcm(2^(v2(h r)+1), |disc|): the degree halves at kr when n_r | kr."""
-    return math.lcm(2 ** (valuation(2, h * r) + 1), abs(disc))
+    hr = h * r
+    return math.lcm(2 * (hr & -hr), abs(disc))  # hr & -hr is 2^v2(hr)
+
+
+def _eps_doubled(kr: int, k: int, decomposition: BaseDecomposition) -> int:
+    """2 eps, for the degree phi(kr) k / (eps gcd(k, h)) of Q(zeta_kr, g^(1/k)) with k | kr.
+
+    eps is 1/2, 1 or 2; degree and the series both take it from here.
+    """
+    r, h = kr // k, decomposition.h
+    if decomposition.sign < 0 and r % 2 == 1:
+        if kr % degree_params(decomposition) == 0:
+            return 4  # eps = 2
+        if k % 2 == 0 and k % (2 * (h & -h)) != 0:  # 2 * (h & -h) is 2^(v2(h)+1)
+            return 1  # eps = 1/2
+        return 2  # eps = 1
+    return 4 if kr % _halving_threshold(h, r, decomposition.disc) == 0 else 2
+
+
+def _not_integral(kr: int, k: int, h: int) -> ArithmeticError:
+    return ArithmeticError(f"degree formula not integral at kr={kr}, k={k}, h={h}")
 
 
 def degree(kr: int, k: int, decomposition: BaseDecomposition) -> int:
@@ -71,24 +91,10 @@ def degree(kr: int, k: int, decomposition: BaseDecomposition) -> int:
     """
     if k < 1 or kr % k != 0:
         raise ValueError(f"degree requires k | kr, got kr={kr}, k={k}")
-    r = kr // k
-    h = decomposition.h
-    if decomposition.sign < 0 and r % 2 == 1:
-        if kr % degree_params(decomposition) == 0:
-            eps_doubled = 4  # eps = 2
-        elif k % 2 == 0 and k % 2 ** (decomposition.v2_h + 1) != 0:
-            eps_doubled = 1  # eps = 1/2
-        else:
-            eps_doubled = 2  # eps = 1
-    else:
-        n_r = _halving_threshold(h, r, decomposition.disc)
-        eps_doubled = 4 if kr % n_r == 0 else 2
     numerator = 2 * euler_phi(kr) * k
-    denominator = eps_doubled * math.gcd(k, h)
+    denominator = _eps_doubled(kr, k, decomposition) * math.gcd(k, decomposition.h)
     if numerator % denominator != 0:
-        raise ArithmeticError(
-            f"degree formula not integral at kr={kr}, k={k}, g={decomposition.base}"
-        )
+        raise _not_integral(kr, k, decomposition.h)
     return numerator // denominator
 
 
@@ -118,39 +124,71 @@ def series_partial(
     if vmax < 1:
         raise ValueError("vmax must be positive")
     dec = decompose(as_base(g))
-    alphas = squarefree_divisors(d)
+    vs = divisors_of_dinfty(d, vmax)
+    unit, nums = _block_numerators(
+        d, dec.h, vs, lambda v, alpha: _eps_doubled(d * v, alpha * v, dec)
+    )
     blocks: list[tuple[int, Fraction]] = []
-    partial = Fraction(0)
-    for v in divisors_of_dinfty(d, vmax):
-        block = Fraction(0)
-        for alpha, mu in alphas:
-            block += Fraction(mu, degree(d * v, alpha * v, dec))
-        if block < 0:
+    for v, num in zip(vs, nums):
+        if num < 0:
             raise ArithmeticError(f"negative series block at v={v} for g={dec.base}")
-        blocks.append((v, block))
-        partial += block
+        blocks.append((v, Fraction(num, unit * v * v)))
     return SeriesEstimate(
         d=d,
         vmax=vmax,
-        partial=partial,
-        tail_bound=_series_tail(d, vmax, dec.h),
+        partial=_sum_over_squares(vs, nums, unit),
+        tail_bound=_series_tail(d, vs, dec.h),
         blocks=tuple(blocks),
     )
 
 
-def _tail_envelope(d: int, vmax: int, coefficient: Fraction) -> Fraction:
-    """coefficient * (sum of 1/v^2 over v | d^inf with v > vmax), exactly.
+def _block_numerators(
+    d: int, h: int, vs: list[int], eps_doubled: Callable[[int, int], int]
+) -> tuple[int, list[int]]:
+    """(unit, nums): the block of the double sum at vs[i] is nums[i] / (unit * vs[i]^2).
 
-    The sum over every v | d^inf is the Euler product prod_{l|d} l^2/(l^2-1)
-    = d * S(d, 1); the terms up to vmax are subtracted from it.
+    A v | d^inf has only primes of d, so phi(dv) = phi(d) v.  With rad the
+    radical of d and eps2 = eps_doubled(v, alpha), the (v, alpha) term
+    1/deg(dv, alpha v) = eps2 gcd(alpha v, h) / (2 phi(dv) alpha v) is then
+    eps2 gcd(alpha v, h) (rad/alpha) / (2 phi(d) rad v^2), over the unit
+    2 phi(d) rad.  An eps2 of 0 leaves the term out.  Each term's degree is
+    checked integral: the numerator must divide unit * v^2.
     """
-    head = sum(Fraction(1, v * v) for v in divisors_of_dinfty(d, vmax))
-    return coefficient * (d * s_factor(d, 1) - head)
+    alphas = squarefree_divisors(d)
+    rad = alphas[-1][0]
+    unit = 2 * euler_phi(d) * rad
+    nums = []
+    for v in vs:
+        den = unit * v * v
+        num = 0
+        for alpha, mu in alphas:
+            term = eps_doubled(v, alpha) * math.gcd(alpha * v, h) * (rad // alpha)
+            if term and den % term:
+                raise _not_integral(d * v, alpha * v, h)
+            num += mu * term
+        nums.append(num)
+    return unit, nums
 
 
-def _series_tail(d: int, vmax: int, h: int) -> Fraction:
-    """The degree series tail past vmax for a base with power exponent h."""
-    return _tail_envelope(d, vmax, Fraction(2 * h, euler_phi(d)))
+def _sum_over_squares(vs: list[int], nums: list[int], unit: int = 1) -> Fraction:
+    """The sum of nums[i] / (unit * vs[i]^2), as one Fraction over unit * lcm(vs)^2."""
+    lcm = math.lcm(*vs)
+    return Fraction(sum(num * (lcm // v) ** 2 for v, num in zip(vs, nums)), unit * lcm * lcm)
+
+
+def _tail_envelope(d: int, vs: list[int], coefficient: Fraction) -> Fraction:
+    """coefficient * (sum of 1/v^2 over the v | d^inf past vs), exactly.
+
+    vs holds the v | d^inf up to some vmax.  The sum over every v | d^inf is
+    the Euler product prod_{l|d} l^2/(l^2-1) = d * S(d, 1); the terms in vs
+    are subtracted from it.
+    """
+    return coefficient * (d * s_factor(d, 1) - _sum_over_squares(vs, [1] * len(vs)))
+
+
+def _series_tail(d: int, vs: list[int], h: int) -> Fraction:
+    """The degree series tail past the v | d^inf in vs, for a base with power exponent h."""
+    return _tail_envelope(d, vs, Fraction(2 * h, euler_phi(d)))
 
 
 def tail_bound(g: RationalBase | int | str | Fraction, d: int, vmax: int) -> Fraction:
@@ -162,7 +200,7 @@ def tail_bound(g: RationalBase | int | str | Fraction, d: int, vmax: int) -> Fra
     """
     if vmax < 1:
         raise ValueError("vmax must be positive")
-    return _series_tail(d, vmax, decompose(as_base(g)).h)
+    return _series_tail(d, divisors_of_dinfty(d, vmax), decompose(as_base(g)).h)
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +214,13 @@ def tail_bound(g: RationalBase | int | str | Fraction, d: int, vmax: int) -> Fra
 
 
 def _truncated_sum(d: int, h: int, vmax: int, keep: Callable[[int, int], bool]) -> Fraction:
-    """Generic-degree double sum over v | d^inf, v <= vmax, and the pairs keep(v, alpha) admits."""
-    total = Fraction(0)
-    alphas = squarefree_divisors(d)
-    for v in divisors_of_dinfty(d, vmax):
-        for alpha, mu in alphas:
-            if keep(v, alpha):
-                total += Fraction(mu * math.gcd(alpha * v, h), euler_phi(d * v) * alpha * v)
-    return total
+    """Generic-degree double sum over v | d^inf, v <= vmax, and the pairs keep(v, alpha) admits.
+
+    The generic degree phi(dv) alpha v / gcd(alpha v, h) is the series' degree at eps = 1.
+    """
+    vs = divisors_of_dinfty(d, vmax)
+    unit, nums = _block_numerators(d, h, vs, lambda v, alpha: 2 if keep(v, alpha) else 0)
+    return _sum_over_squares(vs, nums, unit)
 
 
 def truncated_sum_s1(d: int, h: int, vmax: int) -> Fraction:
@@ -251,4 +288,4 @@ def s_sum_tail_bound(d: int, h: int, vmax: int) -> Fraction:
     if vmax < 1:
         raise ValueError("vmax must be positive")
     n_alphas = len(squarefree_divisors(d))
-    return _tail_envelope(d, vmax, Fraction(n_alphas * h, euler_phi(d)))
+    return _tail_envelope(d, divisors_of_dinfty(d, vmax), Fraction(n_alphas * h, euler_phi(d)))

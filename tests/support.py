@@ -1,8 +1,9 @@
 """Helpers shared by the test modules.
 
 `exact_order` is the tests' oracle for orders: SymPy's `n_order`, which
-shares no code with orddiv.  `run_python` starts a child interpreter that
-imports the orddiv under test.
+shares no code with orddiv.  `reference_series` is the degree series summed
+term by term from `kummer.degree`, the tests' reference for the degrees.
+`run_python` starts a child interpreter that imports the orddiv under test.
 """
 
 import os
@@ -13,6 +14,10 @@ from fractions import Fraction
 from sympy.ntheory import n_order
 
 import orddiv
+from orddiv.arith import divisors_of_dinfty, euler_phi, squarefree_divisors
+from orddiv.base import decompose
+from orddiv.density import s_factor
+from orddiv.kummer import SeriesEstimate, degree
 
 
 def exact_order(g: int | Fraction, p: int) -> int | None:
@@ -22,6 +27,26 @@ def exact_order(g: int | Fraction, p: int) -> int | None:
     if g1 * g2 % p == 0:
         return None
     return n_order(g1 * pow(g2, -1, p) % p, p)
+
+
+def reference_series(g: int | Fraction, d: int, vmax: int) -> SeriesEstimate:
+    """series_partial by its definition, one Fraction added at a time.
+
+    Each v-block sums Fraction(mu, degree(d v, alpha v)), the partial sum
+    adds the blocks, and the tail is 2h/phi(d) times the sum of 1/v^2 over
+    the v | d^inf past vmax, which is d S(d, 1) less the terms up to vmax.
+    """
+    dec = decompose(g)
+    blocks, partial, head = [], Fraction(0), Fraction(0)
+    for v in divisors_of_dinfty(d, vmax):
+        block = Fraction(0)
+        for alpha, mu in squarefree_divisors(d):
+            block += Fraction(mu, degree(d * v, alpha * v, dec))
+        blocks.append((v, block))
+        partial += block
+        head += Fraction(1, v * v)
+    tail = Fraction(2 * dec.h, euler_phi(d)) * (d * s_factor(d, 1) - head)
+    return SeriesEstimate(d, vmax, partial, tail, tuple(blocks))
 
 
 def run_python(*args: str, env: dict[str, str] | None = None, **kwargs) -> subprocess.CompletedProcess:

@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from support import reference_series
 
+from orddiv import kummer
 from orddiv.arith import divisors_of_dinfty, euler_phi, squarefree_divisors
 from orddiv.base import decompose
 from orddiv.census import _powmod_vec, _small_primes
@@ -168,6 +170,40 @@ class TestSeries:
             assert est.partial <= delta <= est.partial + est.tail_bound, (g, d)
             if g < 0:
                 assert density_by_transfer(g, d) == delta, (g, d)
+
+
+# squares, cubes and sixth powers of either sign, h = 1, and rational bases
+EQUALITY_BASES = (
+    2, 4, 8, 9, 64, 729, 12, -2, -4, -8, -9, -27, -64, -729,
+    Fraction(1, 2), Fraction(9, 4), Fraction(-4, 9), Fraction(-1, 8), Fraction(27, 8),
+)
+
+
+class TestSeriesAgainstDefinition:
+    def test_equals_reference_series(self):
+        # the integer sums reproduce every block, partial sum and tail of the
+        # term-by-term definition; the bracket around the closed form then
+        # catches a wrong eps branch, which the definition shares
+        for g in EQUALITY_BASES:
+            for d in range(1, 61):
+                for vmax in (1, 2, 7, 64, 1000, 2**14):
+                    est = series_partial(g, d, vmax)
+                    assert est == reference_series(g, d, vmax), (g, d, vmax)
+                delta = density(g, d).delta
+                assert est.partial <= delta <= est.partial + est.tail_bound, (g, d)
+
+    def test_negative_block_raises(self, monkeypatch):
+        # eps = 1/2 at alpha = 1 and eps = 2 at alpha = 2: the v = 1 block of
+        # d = 2 is 2/4 - 4/4, and both terms still divide the unit
+        monkeypatch.setattr(kummer, "_eps_doubled", lambda kr, k, dec: 1 if k % 2 else 4)
+        with pytest.raises(ArithmeticError, match="negative series block at v=1"):
+            series_partial(3, 2, 8)
+
+    def test_non_integral_degree_raises(self, monkeypatch):
+        # a degree of 2 phi(kr) k / (3 gcd(k, h)) is not an integer for kr a power of 2
+        monkeypatch.setattr(kummer, "_eps_doubled", lambda kr, k, dec: 3)
+        with pytest.raises(ArithmeticError, match="degree formula not integral at kr=2, k=1"):
+            series_partial(3, 2, 8)
 
 
 class TestTailBound:
