@@ -5,9 +5,10 @@ Re-runs the original experiment: census every table row up to the 10^8-th
 prime, 2038074743, and compare with both the exact density and the ratio
 recorded in the source tables.  The recorded ratio divides by pi(x), every
 prime up to x (2 and the primes dividing g included), so it is printed next
-to counted / pi(x); the density is compared with counted / considered.  A
-row took 30-56 s with 2 workers on 2 cores; each row is checkpointed, so the
-script can be interrupted and re-run at will.
+to counted / pi(x); the density is compared with counted / considered.
+With 2 workers on 2 cores, the rows (3, 12) and (2, 2) took 22.3 s and
+27.6 s (measured 2026-10-19); each row is checkpointed, so the script can
+be interrupted and re-run at will.
 
     python demos/04_full_scale_reproduction.py [checkpoint_dir]
 

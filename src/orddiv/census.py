@@ -9,18 +9,22 @@ blocks, and every bulk exponentiation is `_powmod_vec`.
 Divisibility of the order by d is decided per prime power l^a || d from the
 l-free part of p - 1 and a single power test, never from a full order
 computation.  A prime is left out when g is not a unit modulo it, which
-the kernel reads from the residue of g1 * g2: g itself is never factored.
+the unit filter reads from the residue of g1 * g2: g itself is never factored.
 
-One driver runs that kernel over runs of consecutive segments, serially or
-on a process pool: each task is one kernel call over its run, at most
-_TASK_SPAN numbers wide unless a single segment is wider, and its output
-is split at the segment ends and reduced segment by segment.  Both paths
-map the same task, bound per call to its reducer and kernel arguments: the
-driver keeps no module state, so runs on threads of one process do not see
-each other.  `run_census` counts, checkpointing one JSON line per segment
-so long runs resume after a fingerprint check; `verify_key_identity` and
-`verify_order_flip` sum their own results on one worker, in memory bounded
-by the segment size, and decide every order property by power tests too.
+One driver maps runs of consecutive segments, serially or on a process
+pool of at most one process per CPU.  A run is at most _TASK_SPAN numbers
+wide unless a single segment is wider, and its task sieves it once, keeps
+the primes at which g is a unit and hands that one array to a reducer.
+Each reducer runs the stages it needs: `run_census` applies the d | p - 1
+prefilter and the power tests, computing g mod p only when d has prime
+factors to test, splits its two counts at the segment ends and
+checkpoints one JSON line per segment, so long runs resume after a
+fingerprint check; `verify_key_identity` and `verify_order_flip` sum
+their own results per run on one worker, in memory bounded by the run's
+width, and decide every order property by power tests too.  d is factored
+once per configuration (`CensusConfig.d_factors`), and a d >= x_limit
+never.  The driver keeps no module state, so runs on threads of one
+process do not see each other.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ _POWMOD_BLOCK = 1 << 15
 # A base prime that crosses a sieve segment fewer times than this is struck
 # in _primes_in_segment's one scatter rather than by its own strided store.
 _SCATTER_CROSSINGS = 64
-# The widest range one driver task hands the kernel when its segments are
+# The widest range one driver task sieves when its segments are
 # narrower: CensusConfig's default segment size, so a task's working set
 # (~50 MiB) is never more than one default segment's.
 _TASK_SPAN = 10_000_000
@@ -95,6 +99,12 @@ class CensusConfig:
             raise ValueError("segment_size must be at least 10^4")
         if self.worker_count < 1:
             raise ValueError("worker_count must be positive")
+
+    @functools.cached_property
+    def d_factors(self) -> tuple[tuple[int, int], ...]:
+        """d's prime factors; () for a d >= x_limit, which divides no p - 1 in the
+        census and is never factored."""
+        return () if self.d >= self.x_limit else factorize(self.d).factors
 
     @property
     def fingerprint(self) -> str:
@@ -143,7 +153,7 @@ class CensusResult:
 
 
 # ---------------------------------------------------------------------------
-# vectorized segment kernel
+# the census stages: sieve, unit filter, d | p - 1 prefilter, g mod p, power tests
 # ---------------------------------------------------------------------------
 
 
@@ -270,56 +280,31 @@ def _residues(g1: int, g2: int, ps: np.ndarray) -> np.ndarray:
     return gbar
 
 
-def _segment_census(
-    lo: int,
-    hi: int,
-    base_primes: np.ndarray,
-    g1: int,
-    g2: int,
-    d: int,
-    d_factors: tuple[tuple[int, int], ...],
-    residues: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
-    """One range: the odd primes in [lo, hi] at which g is a unit, the primes
-    p among them with d | p - 1, g mod each, and whether d | ord_p(g).
+def _unit_primes(lo: int, hi: int, base_primes: np.ndarray, g1g2: int) -> np.ndarray:
+    """The odd primes in [lo, hi] at which g is a unit: those not dividing g1 * g2, read
+    from its residue, so g is never factored."""
+    primes = _primes_in_segment(lo, hi, base_primes)
+    return primes[_mod_vec(g1g2, primes) != 0]
 
-    A prime p is left out when p | g1 * g2, read from the residue of g1 * g2
-    mod p, so g is never factored.  For l^a || d and d | p - 1, l^a divides
-    ord_p(g) exactly when g^((p-1)/l^(v_l(p-1)-a+1)) != 1, and that exponent
-    is the l-free part of p - 1 times l^(a-1).  A d >= hi divides no p - 1 in
-    the range; it enters no arithmetic, so it need not fit in int64.  With
-    residues false, g mod p is left None where no power test needs it (d = 1).
+
+def _prefilter(primes: np.ndarray, d: int) -> np.ndarray:
+    """The primes p (ascending) with d | p - 1.  A d past the largest p divides no p - 1
+    and enters no arithmetic, so it need not fit in int64."""
+    if not primes.size or d >= int(primes[-1]):
+        return primes[:0]
+    return primes[(primes - 1) % d == 0]
+
+
+def _order_hits(gbar: np.ndarray, ps: np.ndarray, d_factors) -> np.ndarray:
+    """Whether d | ord_p(g) at each p in ps, all with d | p - 1, from gbar = g mod p.
+
+    For l^a || d, l^a divides ord_p(g) exactly when g^((p-1)/l^(v_l(p-1)-a+1)) != 1,
+    and that exponent is the l-free part of p - 1 times l^(a-1).
     """
-    considered = _primes_in_segment(lo, hi, base_primes)
-    considered = considered[_mod_vec(g1 * g2, considered) != 0]
-    if d >= hi:
-        return considered, considered[:0], considered[:0], np.ones(0, dtype=bool)
-    ps = considered[(considered - 1) % d == 0]
-    gbar = _residues(g1, g2, ps) if residues or d_factors else None
     hit = np.ones(ps.size, dtype=bool)
     for ell, a in d_factors:
         hit &= _powmod_vec(gbar, _strip_vec(ps - 1, ell) * ell ** (a - 1), ps) != 1
-    return considered, ps, gbar, hit
-
-
-def _run_task(reduce, kernel: dict, run: list[tuple[int, int]]) -> list:
-    """reduce applied to each segment's share of one kernel call over a run of consecutive segments.
-
-    A segment [lo, hi] gets the kernel's primes up to hi that no earlier
-    segment of the run took; reduce sees the count of its considered primes.
-    """
-    considered, ps, gbar, hit = _segment_census(run[0][0], run[-1][1], **kernel)
-    ends = [hi for _, hi in run[:-1]]
-    counts = np.diff(np.searchsorted(considered, ends, side="right"), prepend=0,
-                     append=considered.size).tolist()
-    cuts = np.searchsorted(ps, ends, side="right")
-    gbars = [None] * len(run) if gbar is None else np.split(gbar, cuts)
-    return list(map(reduce, counts, np.split(ps, cuts), gbars, np.split(hit, cuts)))
-
-
-def _count_segment(considered: int, ps, gbar, hit: np.ndarray) -> tuple[int, int]:
-    """(counted, considered) over one segment."""
-    return int(np.count_nonzero(hit)), considered
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -400,26 +385,20 @@ def _append_checkpoint(fh, seg: SegmentCount, fingerprint: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _map_segments(
-    config: CensusConfig, reduce, segments: list[tuple[int, int]], residues: bool = True
-):
-    """Yield reduce(considered, ps, gbar, hit) for each segment in order, the kernel's
-    arguments taken from config and residues.
+def _run_task(reduce, base_primes: np.ndarray, g1g2: int, run: list[tuple[int, int]]):
+    """reduce(run, primes) for one run of consecutive segments, sieved once."""
+    return reduce(run, _unit_primes(run[0][0], run[-1][1], base_primes, g1g2))
 
-    Each task is one kernel call over a run of consecutive segments: a run
-    never bridges a gap between them, and holds at most _TASK_SPAN //
+
+def _map_segments(config: CensusConfig, reduce, segments: list[tuple[int, int]]):
+    """Yield reduce(run, primes) for each run of consecutive segments in order, primes
+    being the run's odd primes at which config.g is a unit.
+
+    A run never bridges a gap between segments, and holds at most _TASK_SPAN //
     segment_size of them (one if wider) and at most its share of them per
     worker, so a pool still gets a task per worker.  Serial for one worker or
-    run, else on a pool.
+    run, else on a pool of at most one process per CPU.
     """
-    kernel = {
-        "base_primes": _small_primes(math.isqrt(config.x_limit)),
-        "g1": config.g.g1,
-        "g2": config.g.g2,
-        "d": config.d,
-        "d_factors": () if config.d >= config.x_limit else factorize(config.d).factors,
-        "residues": residues,
-    }
     per_run = min(max(1, _TASK_SPAN // config.segment_size),
                   -(-len(segments) // config.worker_count))
     runs: list[list[tuple[int, int]]] = []
@@ -428,13 +407,28 @@ def _map_segments(
             runs[-1].append(seg)
         else:
             runs.append([seg])
-    task = functools.partial(_run_task, reduce, kernel)
+    task = functools.partial(_run_task, reduce, _small_primes(math.isqrt(config.x_limit)),
+                             config.g.g1 * config.g.g2)
     if config.worker_count == 1 or len(runs) <= 1:
-        yield from itertools.chain.from_iterable(map(task, runs))
+        yield from map(task, runs)
         return
-    with ProcessPoolExecutor(max_workers=min(config.worker_count, len(runs))) as pool:
-        # Executor.map submits every run up front and yields in order.
-        yield from itertools.chain.from_iterable(pool.map(task, runs))
+    workers = min(config.worker_count, len(runs), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(task, runs)  # submits every run up front, yields in order
+
+
+def _count_run(g: RationalBase, d: int, d_factors, run, considered) -> list[tuple[int, int]]:
+    """(counted, considered) for each segment of one run, split at the segment ends.
+
+    d = 1 counts every prime, so it computes no g mod p (for g2 != 1, no inverse ladder).
+    """
+    hits = _prefilter(considered, d)
+    if d_factors:
+        hits = hits[_order_hits(_residues(g.g1, g.g2, hits), hits, d_factors)]
+    ends = [hi for _, hi in run]
+    counted, total = (np.diff(np.searchsorted(a, ends, side="right"), prepend=0).tolist()
+                      for a in (hits, considered))
+    return list(zip(counted, total))
 
 
 def run_census(config: CensusConfig) -> CensusResult:
@@ -469,8 +463,8 @@ def run_census(config: CensusConfig) -> CensusResult:
             # run before the file closes: every record is on disk when the run ends, or fails
             stack.callback(os.fsync, log.fileno())
         synced_at = time.monotonic()
-        # a count reads g mod p only in the power tests, so a d = 1 census runs no inverse ladder
-        driver = _map_segments(config, _count_segment, pending, residues=False)
+        count = functools.partial(_count_run, config.g, config.d, config.d_factors)
+        driver = itertools.chain.from_iterable(_map_segments(config, count, pending))
         # strict: the driver is run to its end, which shuts its pool down
         for seg, counts in zip(pending, driver, strict=True):
             done[seg] = SegmentCount(*seg, *counts)
@@ -518,7 +512,7 @@ def _two_adic_valuation(y: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return val
 
 
-def _smooth_part(values: np.ndarray, ells: tuple[int, ...]) -> np.ndarray:
+def _smooth_part(values: np.ndarray, ells: list[int]) -> np.ndarray:
     """The part of each value made of the primes ells, elementwise (values >= 1)."""
     rough = values
     for ell in ells:
@@ -526,21 +520,23 @@ def _smooth_part(values: np.ndarray, ells: tuple[int, ...]) -> np.ndarray:
     return values // rough
 
 
-def _identity_segment(
-    d: int, ells: tuple[int, ...], vs: tuple[int, ...], considered: int, ps, gbar, hit
+def _identity_run(
+    g: RationalBase, d: int, d_factors, vs: tuple[int, ...], run, considered
 ) -> list[int]:
-    """lhs, then each v-block of verify_key_identity's rhs, over one segment.
+    """lhs, then each v-block of verify_key_identity's rhs, over one run of segments.
 
     For v | d^inf, p = 1 (mod dv) exactly when v divides the d-smooth part of
-    (p - 1)/d, which is taken once per segment from the primes ells of d.  A
-    block with no such prime counts 0 and runs no ladder.
+    (p - 1)/d, which is taken once per run from the primes of d.  A block
+    with no such prime counts 0 and runs no ladder.
     """
-    if not ps.size:  # with no prime left, d may be past int64 (see _segment_census)
+    ps = _prefilter(considered, d)
+    if not ps.size:  # with no prime left, d may be past int64 (see _prefilter)
         return [0] * (1 + len(vs))
-    counts = [int(np.count_nonzero(hit))]
+    gbar = _residues(g.g1, g.g2, ps)
+    counts = [int(np.count_nonzero(_order_hits(gbar, ps, d_factors)))]
     alphas = squarefree_divisors(d)
     rad = alphas[-1][0]
-    smooth = _smooth_part((ps - 1) // d, ells)
+    smooth = _smooth_part((ps - 1) // d, [ell for ell, _ in d_factors])
     for v in vs:
         if v == 1:  # every prime, with no copy
             sel, base = ps, gbar
@@ -562,30 +558,28 @@ def verify_key_identity(
     """Check the exact finite-x identity between the direct order count and
     the Mobius-weighted residual-index census.
 
-    lhs counts primes p <= x with d | ord_p(g), by the census kernel's own
+    lhs counts primes p <= x with d | ord_p(g), by the census's own
     test; rhs sums mu(alpha) times the count of primes with p = 1 (mod dv)
     and alpha*v | r_p(g), over v | d^inf and squarefree alpha | d.  For such
     p, alpha*v | r_p exactly when g^((p-1)/(alpha v)) = 1, i.e.
     y^(rad(d)/alpha) = 1 for y = g^((p-1)/(rad(d) v)): each block is a power
     test too.  Both sides range over the census's primes: odd, with g a unit
-    mod p, which the kernel reads from the residue of g1 * g2, so g is never
-    factored (no prime dividing d has p = 1 mod d).  Exact integer equality
-    is expected for every input.  Both sides are sums over the census's
-    segments, with x and d bounded as in CensusConfig.
+    mod p, which the unit filter reads from the residue of g1 * g2, so g is
+    never factored (no prime dividing d has p = 1 mod d).  Exact integer
+    equality is expected for every input.  Both sides are sums over the
+    census's runs of segments, with x and d bounded as in CensusConfig.
     """
     config = CensusConfig(g, d, x)
-    if d >= x:  # no p <= x has d | p - 1: d is not factored
-        ells, vs = (), (1,)
-    else:
-        ells, vs = factorize(d).primes(), tuple(divisors_of_dinfty(d, (x - 1) // d))
-    reduce = functools.partial(_identity_segment, d, ells, vs)
+    # no factors: d = 1, whose only v is 1, or a d >= x, which has no prime to count
+    vs = tuple(divisors_of_dinfty(d, (x - 1) // d)) if config.d_factors else (1,)
+    reduce = functools.partial(_identity_run, config.g, d, config.d_factors, vs)
     lhs, *counts = map(sum, zip(*_map_segments(config, reduce, config.segments())))
     return KeyIdentityReport(config.g, d, x, lhs, tuple(zip(vs, counts)))
 
 
-def _flip_segment(considered: int, ps, gbar, hit) -> bool:
-    """verify_order_flip's relation at every prime of one segment."""
-    y = _powmod_vec(gbar, _strip_vec(ps - 1, 2), ps)
+def _flip_run(g: RationalBase, run, ps: np.ndarray) -> bool:
+    """verify_order_flip's relation at every prime of one run of segments."""
+    y = _powmod_vec(_residues(g.g1, g.g2, ps), _strip_vec(ps - 1, 2), ps)
     t, t_neg = _two_adic_valuation(y, ps), _two_adic_valuation(ps - y, ps)
     return bool(np.array_equal(t_neg, np.where(t == 0, 1, np.where(t == 1, 0, t))))
 
@@ -603,4 +597,4 @@ def verify_order_flip(g: RationalBase | int | str | Fraction, x: int) -> bool:
     config = CensusConfig(g, 1, x)
     if config.g.g1 < 0:
         raise ValueError("verify_order_flip requires g > 0")
-    return all(_map_segments(config, _flip_segment, config.segments()))
+    return all(_map_segments(config, functools.partial(_flip_run, config.g), config.segments()))

@@ -19,8 +19,11 @@ from orddiv.arith import factorize
 from orddiv.base import RationalBase, as_base
 from orddiv.census import (
     CensusConfig,
-    _segment_census,
+    _order_hits,
+    _prefilter,
+    _residues,
     _small_primes,
+    _unit_primes,
     run_census,
     verify_key_identity,
     verify_order_flip,
@@ -119,27 +122,27 @@ def test_criterion_4_key_identity():
 
 
 def test_criterion_5_order_tests():
-    # the census kernel over [3, 10^5] against SymPy's exact order at every odd prime
+    # the census stages over [3, 10^5] against SymPy's exact order at every odd prime
     start = time.time()
     x = 10**5
     base_primes, primes = _small_primes(math.isqrt(x)), _small_primes(x)[1:]
-    kernel_runs = 0
+    test_runs = 0
     for g in (2, 3, -2, -4, Fraction(1, 2)):
         base = as_base(g)
         orders = np.array([exact_order(g, p) or 0 for p in primes.tolist()])  # 0: p | g1 g2
+        considered = _unit_primes(3, x, base_primes, base.g1 * base.g2)
+        assert considered.tolist() == primes[orders != 0].tolist(), g
         for d in range(1, 49):
-            considered, ps, _, hit = _segment_census(
-                3, x, base_primes, base.g1, base.g2, d, factorize(d).factors
-            )
-            assert considered.tolist() == primes[orders != 0].tolist(), (g, d)
+            ps = _prefilter(considered, d)
+            hit = _order_hits(_residues(base.g1, base.g2, ps), ps, factorize(d).factors)
             assert ps[hit].tolist() == primes[(orders != 0) & (orders % d == 0)].tolist(), (g, d)
-            kernel_runs += 1
+            test_runs += 1
     for g in (2, 3, 5):
         assert verify_order_flip(g, 10**4)
     elapsed = time.time() - start
     assert elapsed < 60.0
     _report(5, "order tests", elapsed,
-            f"{kernel_runs} kernel runs against SymPy orders at {primes.size} odd primes"
+            f"{test_runs} (g, d) power-test runs against SymPy orders at {primes.size} odd primes"
             " + flip sweeps")
 
 

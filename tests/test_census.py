@@ -21,13 +21,15 @@ from orddiv.census import (
     _SCATTER_CROSSINGS,
     CensusConfig,
     CheckpointError,
+    _order_hits,
     _powmod_vec,
+    _prefilter,
     _primes_in_segment,
     _residues,
-    _segment_census,
     _small_primes,
     _strip_vec,
     _two_adic_valuation,
+    _unit_primes,
     run_census,
     verify_key_identity,
     verify_order_flip,
@@ -39,11 +41,11 @@ _HARD_BASE = (2**61 - 1) * (2**89 - 1)
 
 
 def _hit_primes(g: int | Fraction, d: int, x: int) -> list[int]:
-    """The odd primes p <= x with d | ord_p(g), by the census kernel over one segment."""
+    """The odd primes p <= x with d | ord_p(g), by the census stages over one segment."""
     g = Fraction(g)
-    _, ps, _, hit = _segment_census(3, x, _small_primes(math.isqrt(x)), g.numerator,
-                                    g.denominator, d, factorize(d).factors)
-    return ps[hit].tolist()
+    g1, g2 = g.numerator, g.denominator
+    ps = _prefilter(_unit_primes(3, x, _small_primes(math.isqrt(x)), g1 * g2), d)
+    return ps[_order_hits(_residues(g1, g2, ps), ps, factorize(d).factors)].tolist()
 
 
 class TestReduceModP:
@@ -56,8 +58,8 @@ class TestReduceModP:
 
     def test_rejects_dividing_primes(self):
         base = _small_primes(3)
-        assert _segment_census(3, 7, base, 3, 5, 1, ())[1].tolist() == [7]
-        assert _segment_census(3, 7, base, 10, 1, 1, ())[1].tolist() == [3, 7]
+        assert _unit_primes(3, 7, base, 3 * 5).tolist() == [7]
+        assert _unit_primes(3, 7, base, 10 * 1).tolist() == [3, 7]
         assert exact_order(Fraction(3, 5), 5) is exact_order(10, 5) is None
 
 
@@ -250,6 +252,7 @@ class TestRunCensus:
                 assert totals == reference
 
     def test_pool_capped_at_pending_segments(self, monkeypatch):
+        # the pool starts min(worker_count, runs, CPUs) processes; the runs and counts stay put
         started = []
 
         class RecordingPool:
@@ -265,11 +268,12 @@ class TestRunCensus:
             map = staticmethod(map)
 
         monkeypatch.setattr(census, "ProcessPoolExecutor", RecordingPool)
-        cfg = CensusConfig(RationalBase(2, 1), 2, 30_000, segment_size=10**4, worker_count=5000)
-        result = run_census(cfg)
-        assert started == [3]
         serial = run_census(CensusConfig(RationalBase(2, 1), 2, 30_000, segment_size=10**4))
-        assert result.segments == serial.segments
+        for cpus, expected in ((8, 3), (2, 2), (None, 1)):  # 3 runs; os.cpu_count() may be None
+            monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
+            cfg = CensusConfig(RationalBase(2, 1), 2, 30_000, segment_size=10**4, worker_count=5000)
+            assert run_census(cfg).segments == serial.segments
+            assert started.pop() == expected and not started
 
     def test_segment_ledger_sums(self):
         cfg = CensusConfig(RationalBase(2, 1), 2, 100_000, segment_size=10**4)
@@ -346,13 +350,15 @@ class TestRunCensus:
         assert (run.returncode, run.stdout) == (0, "0\n")
 
     def test_never_factors_g(self, monkeypatch):
+        # d is factored once per run_census call (in this process, also for a pool run) and
+        # once per verify_key_identity call; the flip reads no factors of d
         factored = []
         monkeypatch.setattr(census, "factorize", lambda n: factored.append(n) or factorize(n))
         g, d, x = Fraction(35, 11), 12, 20_000
-        run_census(CensusConfig(g, d, x, segment_size=10**4))
+        run_census(CensusConfig(g, d, x, segment_size=10**4, worker_count=2))
         verify_key_identity(g, d, x)
         verify_order_flip(g, x)
-        assert factored and not {35, 11} & set(factored)
+        assert factored == [d, d]
 
     @pytest.mark.parametrize("g", [2, "2", Fraction(2)])
     def test_config_coerces_g(self, g):
@@ -543,20 +549,25 @@ class TestCheckpoint:
 
 
 def _record_kernel_calls(monkeypatch) -> list:
-    """Returns the (lo, hi) of every kernel call made in this process from now on."""
+    """Returns the (lo, hi) of every sieve call made in this process from now on."""
     calls = []
-    segment_census = census._segment_census
-    monkeypatch.setattr(census, "_segment_census",
-                        lambda lo, hi, **k: calls.append((lo, hi)) or segment_census(lo, hi, **k))
+    unit_primes = census._unit_primes
+    monkeypatch.setattr(census, "_unit_primes",
+                        lambda lo, hi, *a: calls.append((lo, hi)) or unit_primes(lo, hi, *a))
     return calls
 
 
 def _split_verifier_segments(monkeypatch) -> list:
-    """Make the verifiers' default config use 10^4-wide segments, one kernel call each;
-    returns the kernel's calls."""
+    """Make the verifiers' default config use 10^4-wide segments, one sieve call each;
+    returns the sieve's calls."""
     monkeypatch.setattr(census, "CensusConfig", functools.partial(CensusConfig, segment_size=10**4))
     monkeypatch.setattr(census, "_TASK_SPAN", 10**4)
     return _record_kernel_calls(monkeypatch)
+
+
+# Over the 20 segments of [3, 200000] in 10^4-wide segments: (_TASK_SPAN, sieve calls) for
+# runs of one segment, then for runs of 3 (the last of 2), where one sieve feeds several segments
+_VERIFIER_RUNS = ((10**4, 20), (3 * 10**4, 7))
 
 
 class TestKeyIdentity:
@@ -604,10 +615,13 @@ class TestKeyIdentity:
     def test_segment_split_matches_one_segment(self, g, d, monkeypatch):
         whole = verify_key_identity(g, d, 200_000)
         kernel_calls = _split_verifier_segments(monkeypatch)
-        split = verify_key_identity(g, d, 200_000)
-        assert len(kernel_calls) == 20
-        assert (split.lhs, split.rhs, split.blocks) == (whole.lhs, whole.rhs, whole.blocks)
-        assert split.holds
+        for span, calls in _VERIFIER_RUNS:
+            monkeypatch.setattr(census, "_TASK_SPAN", span)
+            split = verify_key_identity(g, d, 200_000)
+            assert len(kernel_calls) == calls
+            kernel_calls.clear()
+            assert (split.lhs, split.rhs, split.blocks) == (whole.lhs, whole.rhs, whole.blocks)
+            assert split.holds
 
     def test_matches_census_at_1e7(self):
         x = 10**7
@@ -639,8 +653,11 @@ class TestOrderFlip:
     def test_segment_split_matches_one_segment(self, g, monkeypatch):
         whole = verify_order_flip(g, 200_000)
         kernel_calls = _split_verifier_segments(monkeypatch)
-        assert verify_order_flip(g, 200_000) is whole is True
-        assert len(kernel_calls) == 20
+        for span, calls in _VERIFIER_RUNS:
+            monkeypatch.setattr(census, "_TASK_SPAN", span)
+            assert verify_order_flip(g, 200_000) is whole is True
+            assert len(kernel_calls) == calls
+            kernel_calls.clear()
 
 
 class TestBatchedDriver:
@@ -700,8 +717,9 @@ class TestStatelessDriver:
     def test_interleaved_drivers(self):
         configs = [CensusConfig(RationalBase(2, 1), 2, 50_000, segment_size=10**4),
                    CensusConfig(RationalBase(3, 1), 12, 50_000, segment_size=10**4)]
-        alone = [list(census._map_segments(c, census._count_segment, c.segments())) for c in configs]
-        drivers = [census._map_segments(c, census._count_segment, c.segments()) for c in configs]
+        counts = [functools.partial(census._count_run, c.g, c.d, c.d_factors) for c in configs]
+        alone = [list(census._map_segments(c, n, c.segments())) for c, n in zip(configs, counts)]
+        drivers = [census._map_segments(c, n, c.segments()) for c, n in zip(configs, counts)]
         interleaved = [[], []]
         for _ in range(len(alone[0])):
             for out, driver in zip(interleaved, drivers):
