@@ -11,20 +11,20 @@ l-free part of p - 1 and a single power test, never from a full order
 computation.  A prime is left out when g is not a unit modulo it, which
 the unit filter reads from the residue of g1 * g2: g itself is never factored.
 
-One driver maps runs of consecutive segments, serially or on a process
-pool of at most one process per CPU.  A run is at most _TASK_SPAN numbers
-wide unless a single segment is wider, and its task sieves it once, keeps
-the primes at which g is a unit and hands that one array to a reducer.
-Each reducer runs the stages it needs: `run_census` applies the d | p - 1
-prefilter and the power tests, computing g mod p only when d has prime
-factors to test, splits its two counts at the segment ends and
-checkpoints one JSON line per segment, so long runs resume after a
-fingerprint check; `verify_key_identity` and `verify_order_flip` sum
-their own results per run on one worker, in memory bounded by the run's
-width, and decide every order property by power tests too.  d is factored
-once per configuration (`CensusConfig.d_factors`), and a d >= x_limit
-never.  The driver keeps no module state, so runs on threads of one
-process do not see each other.
+One driver maps runs of consecutive segments, serially or on a process pool of
+at most one process per CPU.  A run is at most _TASK_SPAN numbers wide unless
+a single segment is wider, and its task sieves it once, keeps the primes at
+which g is a unit and hands that one array to a reducer.  Each reducer runs
+the stages it needs: `run_census` applies the d | p - 1 prefilter and the
+power tests, computing g mod p only when d has prime factors to test, splits
+its two counts at the segment ends and checkpoints one JSON line per segment,
+so long runs resume after a fingerprint check; `verify_key_identity` and
+`verify_order_flip` sum their own results per run on one worker, in memory
+bounded by the run's width, and decide every order property by power tests
+too: an identity block counts the primes where g^((p-1)/(rad(d) v)) has order
+exactly rad(d), with no Mobius sum.  d is factored once per configuration
+(`CensusConfig.d_factors`), and a d >= x_limit never.  The driver keeps no
+module state, so runs on threads of one process do not see each other.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import divisors_of_dinfty, factorize, squarefree_divisors
+from .arith import divisors_of_dinfty, factorize
 from .base import RationalBase, as_base
 
 __all__ = [
@@ -527,28 +527,28 @@ def _identity_run(
 
     For v | d^inf, p = 1 (mod dv) exactly when v divides the d-smooth part of
     (p - 1)/d, which is taken once per run from the primes of d.  A block
-    with no such prime counts 0 and runs no ladder.
+    with no such prime counts 0 and runs no ladder; any other block counts
+    the y = g^((p-1)/(rad v)) of order exactly rad, in 2 + omega(d) ladders.
     """
     ps = _prefilter(considered, d)
     if not ps.size:  # with no prime left, d may be past int64 (see _prefilter)
         return [0] * (1 + len(vs))
     gbar = _residues(g.g1, g.g2, ps)
     counts = [int(np.count_nonzero(_order_hits(gbar, ps, d_factors)))]
-    alphas = squarefree_divisors(d)
-    rad = alphas[-1][0]
-    smooth = _smooth_part((ps - 1) // d, [ell for ell, _ in d_factors])
+    ells = [ell for ell, _ in d_factors]
+    rad = math.prod(ells)
+    smooth = _smooth_part((ps - 1) // d, ells)
     for v in vs:
-        if v == 1:  # every prime, with no copy
-            sel, base = ps, gbar
-        else:
-            keep = smooth % v == 0
-            sel, base = ps[keep], gbar[keep]
+        keep = slice(None) if v == 1 else smooth % v == 0  # v = 1: every prime, no copy
+        sel, base = ps[keep], gbar[keep]
         if not sel.size:
             counts.append(0)
             continue
         y = _powmod_vec(base, (sel - 1) // (rad * v), sel)
-        counts.append(sum(mu * int(np.count_nonzero(_powmod_vec(y, rad // alpha, sel) == 1))
-                          for alpha, mu in alphas))
+        exact = _powmod_vec(y, rad, sel) == 1
+        for ell in ells:
+            exact &= _powmod_vec(y, rad // ell, sel) != 1
+        counts.append(int(np.count_nonzero(exact)))
     return counts
 
 
@@ -556,18 +556,18 @@ def verify_key_identity(
     g: RationalBase | int | str | Fraction, d: int, x: int
 ) -> KeyIdentityReport:
     """Check the exact finite-x identity between the direct order count and
-    the Mobius-weighted residual-index census.
+    the census over residual indices r_p = (p - 1)/ord_p(g).
 
-    lhs counts primes p <= x with d | ord_p(g), by the census's own
-    test; rhs sums mu(alpha) times the count of primes with p = 1 (mod dv)
-    and alpha*v | r_p(g), over v | d^inf and squarefree alpha | d.  For such
-    p, alpha*v | r_p exactly when g^((p-1)/(alpha v)) = 1, i.e.
-    y^(rad(d)/alpha) = 1 for y = g^((p-1)/(rad(d) v)): each block is a power
-    test too.  Both sides range over the census's primes: odd, with g a unit
-    mod p, which the unit filter reads from the residue of g1 * g2, so g is
-    never factored (no prime dividing d has p = 1 mod d).  Exact integer
-    equality is expected for every input.  Both sides are sums over the
-    census's runs of segments, with x and d bounded as in CensusConfig.
+    lhs counts primes p <= x with d | ord_p(g), by the census's own test.
+    rhs sums over v | d^inf the primes with p = 1 (mod dv) and (r_p, d^inf)
+    = v, which the paper writes as sum mu(alpha) [alpha v | r_p] over
+    squarefree alpha | d.  With y = g^((p-1)/(rad(d) v)), alpha v | r_p
+    exactly when y^(rad(d)/alpha) = 1, i.e. y^rad(d) = 1 and y^(rad(d)/l) = 1
+    for each prime l | alpha: that sum is the one predicate ord_p(y) = rad(d).
+    Both sides range over the census's primes: odd, with g a unit mod p (read
+    from the residue of g1 * g2, so g is never factored; no prime dividing d
+    has p = 1 mod d).  Exact integer equality is expected for every input;
+    both sides are sums over runs of segments, x and d bounded as in CensusConfig.
     """
     config = CensusConfig(g, d, x)
     # no factors: d = 1, whose only v is 1, or a d >= x, which has no prime to count

@@ -149,7 +149,8 @@ class TestVectorOrders:
             want = [valuation(2, exact_order(h, p)) for p in ps.tolist()]
             assert _two_adic_valuation(yh, ps).tolist() == want
 
-    @pytest.mark.parametrize("g, d", [(Fraction(8, 27), 4), (-9, 6), (7, 30)])
+    @pytest.mark.parametrize("g, d", [(Fraction(8, 27), 4), (-9, 6), (7, 30), (7, 210),
+                                      (Fraction(1, 2), 60)])
     def test_key_identity_matches_order_records(self, g, d):
         x = 20_000
         vs = divisors_of_dinfty(d, (x - 1) // d)
@@ -623,6 +624,22 @@ class TestKeyIdentity:
             assert (split.lhs, split.rhs, split.blocks) == (whole.lhs, whole.rhs, whole.blocks)
             assert split.holds
 
+    @pytest.mark.parametrize("g, d, x", [(7, 210, 10**6), (3, 12, 5 * 10**5)])
+    def test_ladders_per_block(self, g, d, x, monkeypatch):
+        # omega(d) power tests for lhs, 2 + omega(d) ladders per block with a prime,
+        # none for an empty block, and one inverse ladder per run when g2 != 1
+        calls = []
+        powmod = census._powmod_vec
+        monkeypatch.setattr(census, "_powmod_vec", lambda *a: calls.append(1) or powmod(*a))
+        assert verify_key_identity(g, d, x).holds
+        g = Fraction(g)
+        # (p - 1)/d for the considered primes p = 1 (mod d)
+        quotients = [k for k in range(1, (x - 1) // d + 1)
+                     if sympy.isprime(k * d + 1) and g.numerator * g.denominator % (k * d + 1)]
+        blocks = sum(any(q % v == 0 for q in quotients) for v in divisors_of_dinfty(d, (x - 1) // d))
+        omega = len(sympy.primefactors(d))
+        assert 0 < len(calls) <= omega + (2 + omega) * blocks + (g.denominator != 1)
+
     def test_matches_census_at_1e7(self):
         x = 10**7
         report = verify_key_identity(2, 2, x)
@@ -648,6 +665,25 @@ class TestOrderFlip:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             verify_order_flip(-2, 100)
+
+    @pytest.mark.parametrize("g", [2, 3, Fraction(3, 5)])
+    def test_examines_every_considered_prime(self, g, monkeypatch):
+        # the relation holds at every prime, so only a count shows a prime the flip skipped;
+        # _flip_run takes the valuations of g and -g at each prime it examines
+        considered = run_census(CensusConfig(g, 1, 200_000)).considered
+        examined = []
+        valuation = census._two_adic_valuation
+        monkeypatch.setattr(census, "_two_adic_valuation",
+                            lambda y, ps: examined.append(ps.size) or valuation(y, ps))
+        default_span = census._TASK_SPAN
+        kernel_calls = _split_verifier_segments(monkeypatch)
+        # one run of all 20 segments, then 20 runs of one
+        for span, runs in ((default_span, 1), (10**4, 20)):
+            monkeypatch.setattr(census, "_TASK_SPAN", span)
+            assert verify_order_flip(g, 200_000)
+            assert (len(kernel_calls), sum(examined)) == (runs, 2 * considered)
+            kernel_calls.clear()
+            examined.clear()
 
     @pytest.mark.parametrize("g", [3, Fraction(3, 5)])
     def test_segment_split_matches_one_segment(self, g, monkeypatch):
