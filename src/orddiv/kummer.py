@@ -120,13 +120,24 @@ def series_partial(
 
     Each block is the inner Mobius sum at one v; blocks are provably
     nonnegative, so partial sums increase monotonically toward the density.
+    A block is num / (unit v^2) with a numerator that depends on v only
+    through gcd(v, 2^(v2(d)+1) h), so it is computed once per such class:
+    a term reads v through gcd(alpha v, h), through v2(alpha v) capped at
+    v2(h) + 1, and through whether a threshold divides dv; the threshold's
+    odd part is squarefree, so it divides dv exactly when it divides d, and
+    its 2-part divides dv once v2(v) reaches v2(h) + v2(d) + 1 (in full at
+    _two_adic_period).
     """
     if vmax < 1:
         raise ValueError("vmax must be positive")
     dec = decompose(as_base(g))
     vs = divisors_of_dinfty(d, vmax)
     unit, nums = _block_numerators(
-        d, dec.h, vs, lambda v, alpha: _eps_doubled(d * v, alpha * v, dec)
+        d,
+        dec.h,
+        vs,
+        lambda v, alpha: _eps_doubled(d * v, alpha * v, dec),
+        _two_adic_period(d, dec.h),
     )
     blocks: list[tuple[int, Fraction]] = []
     for v, num in zip(vs, nums):
@@ -142,8 +153,28 @@ def series_partial(
     )
 
 
+def _two_adic_period(d: int, h: int) -> int:
+    """2^(v2(d)+1) h: the period in v of the degree series' and S3's block numerators.
+
+    The (v, alpha) term reads v only through gcd(alpha v, h), which is
+    gcd(alpha gcd(v, h), h); through min(v2(alpha v), v2(h) + 1); and through
+    whether a threshold n divides dv, with n = degree_params or n_r of
+    _halving_threshold.  n's odd part is the odd part of disc, which is
+    squarefree and divides dv exactly when it divides d, since v | d^inf has
+    only primes of d.  For odd d every v is odd.  For even d, n's 2-part is
+    at most 2^e with e = max(v2(h)+v2(d)+1, 3), as v2(r) <= v2(d) and
+    v2(disc) <= 3; the test 2^e | dv asks v2(v) >= e - v2(d), and
+    e - v2(d) <= max(v2(h) + 1, 2) <= v2(P).
+    """
+    return 2 * (d & -d) * h  # d & -d is 2^v2(d)
+
+
 def _block_numerators(
-    d: int, h: int, vs: list[int], eps_doubled: Callable[[int, int], int]
+    d: int,
+    h: int,
+    vs: list[int],
+    eps_doubled: Callable[[int, int], int],
+    period: int,
 ) -> tuple[int, list[int]]:
     """(unit, nums): the block of the double sum at vs[i] is nums[i] / (unit * vs[i]^2).
 
@@ -153,20 +184,32 @@ def _block_numerators(
     eps2 gcd(alpha v, h) (rad/alpha) / (2 phi(d) rad v^2), over the unit
     2 phi(d) rad.  An eps2 of 0 leaves the term out.  Each term's degree is
     checked integral: the numerator must divide unit * v^2.
+
+    The caller's period P promises that the (v, alpha) term depends on v only
+    through key = gcd(v, P), so each numerator is computed once per key.
+    This is exact: key | v and v | d^inf, so key is in the ascending vs at
+    or before v, and its numerator is computed there first.  A term that
+    divides unit * key^2 divides unit * v^2, so a check that passes at the
+    key passes at every v of its class, and a failing check raises at the
+    same first v as a per-v loop would.
     """
     alphas = squarefree_divisors(d)
     rad = alphas[-1][0]
     unit = 2 * euler_phi(d) * rad
+    by_key: dict[int, int] = {}
     nums = []
     for v in vs:
-        den = unit * v * v
-        num = 0
-        for alpha, mu in alphas:
-            term = eps_doubled(v, alpha) * math.gcd(alpha * v, h) * (rad // alpha)
-            if term and den % term:
-                raise _not_integral(d * v, alpha * v, h)
-            num += mu * term
-        nums.append(num)
+        key = math.gcd(v, period)
+        if key not in by_key:  # then key == v, the first v of its class
+            den = unit * v * v
+            num = 0
+            for alpha, mu in alphas:
+                term = eps_doubled(v, alpha) * math.gcd(alpha * v, h) * (rad // alpha)
+                if term and den % term:
+                    raise _not_integral(d * v, alpha * v, h)
+                num += mu * term
+            by_key[key] = num
+        nums.append(by_key[key])
     return unit, nums
 
 
@@ -213,19 +256,25 @@ def tail_bound(g: RationalBase | int | str | Fraction, d: int, vmax: int) -> Fra
 # ---------------------------------------------------------------------------
 
 
-def _truncated_sum(d: int, h: int, vmax: int, keep: Callable[[int, int], bool]) -> Fraction:
+def _truncated_sum(
+    d: int, h: int, vmax: int, keep: Callable[[int, int], bool], period: int
+) -> Fraction:
     """Generic-degree double sum over v | d^inf, v <= vmax, and the pairs keep(v, alpha) admits.
 
-    The generic degree phi(dv) alpha v / gcd(alpha v, h) is the series' degree at eps = 1.
+    The generic degree phi(dv) alpha v / gcd(alpha v, h) is the series' degree
+    at eps = 1.  keep must read v only through gcd(v, period), as must the
+    generic term, which reads gcd(v, h); so h | period.
     """
     vs = divisors_of_dinfty(d, vmax)
-    unit, nums = _block_numerators(d, h, vs, lambda v, alpha: 2 if keep(v, alpha) else 0)
+    unit, nums = _block_numerators(
+        d, h, vs, lambda v, alpha: 2 if keep(v, alpha) else 0, period
+    )
     return _sum_over_squares(vs, nums, unit)
 
 
 def truncated_sum_s1(d: int, h: int, vmax: int) -> Fraction:
     """Literal truncation of the generic-degree double sum."""
-    return _truncated_sum(d, h, vmax, lambda v, alpha: True)
+    return _truncated_sum(d, h, vmax, lambda v, alpha: True, h)
 
 
 def truncated_sum_s2(d: int, h: int, k: int, vmax: int) -> Fraction:
@@ -233,7 +282,9 @@ def truncated_sum_s2(d: int, h: int, k: int, vmax: int) -> Fraction:
     if k < 0:
         raise ValueError("k must be nonnegative")
     cutoff = valuation(2, h) + k
-    return _truncated_sum(d, h, vmax, lambda v, alpha: valuation(2, v) >= cutoff)
+    return _truncated_sum(
+        d, h, vmax, lambda v, alpha: valuation(2, v) >= cutoff, math.lcm(h, 2**cutoff)
+    )
 
 
 def truncated_sum_s3(d: int, h: int, disc: int, vmax: int) -> Fraction:
@@ -241,7 +292,11 @@ def truncated_sum_s3(d: int, h: int, disc: int, vmax: int) -> Fraction:
     if not is_fundamental_discriminant(disc):
         raise ValueError(f"{disc} is not a fundamental discriminant")
     return _truncated_sum(
-        d, h, vmax, lambda v, alpha: d * v % _halving_threshold(h, d // alpha, disc) == 0
+        d,
+        h,
+        vmax,
+        lambda v, alpha: d * v % _halving_threshold(h, d // alpha, disc) == 0,
+        _two_adic_period(d, h),
     )
 
 

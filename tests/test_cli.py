@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from support import run_python
@@ -56,6 +57,12 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "partial    = 45/64" in out
         assert "bracket    = PASS" in out
+
+    def test_oracle_fail_is_one(self, monkeypatch, capsys):
+        # a closed form outside the series bracket is a FAIL, and main returns 1
+        monkeypatch.setattr(cli, "density", lambda g, d: SimpleNamespace(delta=Fraction(1)))
+        assert main(["oracle", "-g", "2", "-d", "2", "--vmax", "8", "--format", "json"]) == 1
+        assert json.loads(capsys.readouterr().out)["bracket"] == "FAIL"
 
     def test_bad_threads_env(self):
         # a garbage ORDDIV_THREADS is a usage error of census alone

@@ -5,10 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from support import reference_series
+from support import reference_series, reference_truncated_sum
 
 from orddiv import kummer
-from orddiv.arith import divisors_of_dinfty, euler_phi, squarefree_divisors
+from orddiv.arith import divisors_of_dinfty, euler_phi, squarefree_divisors, valuation
 from orddiv.base import decompose
 from orddiv.census import _powmod_vec, _small_primes
 from orddiv.density import density, density_by_transfer, s_factor
@@ -204,6 +204,46 @@ class TestSeriesAgainstDefinition:
         monkeypatch.setattr(kummer, "_eps_doubled", lambda kr, k, dec: 3)
         with pytest.raises(ArithmeticError, match="degree formula not integral at kr=2, k=1"):
             series_partial(3, 2, 8)
+
+    def test_eps_calls_per_class(self, monkeypatch):
+        # a block numerator depends on v only through gcd(v, 2^(v2(d)+1) h), so
+        # the eps helper runs once per alpha and class, not once per alpha and v
+        eps_doubled, calls = kummer._eps_doubled, []
+        monkeypatch.setattr(
+            kummer, "_eps_doubled", lambda kr, k, dec: calls.append(kr) or eps_doubled(kr, k, dec)
+        )
+        for g, d in ((-9, 6), (Fraction(-4, 9), 48), (64, 60)):
+            calls.clear()
+            period = 2 ** (valuation(2, d) + 1) * decompose(g).h
+            vs = divisors_of_dinfty(d, 2**14)
+            n_alphas = len(squarefree_divisors(d))
+            n_classes = len({math.gcd(v, period) for v in vs})
+            series_partial(g, d, 2**14)
+            assert len(calls) <= n_alphas * n_classes < n_alphas * len(vs), (g, d)
+
+
+class TestTruncatedSumsAgainstDefinition:
+    def test_equal_reference_sums(self):
+        # each truncated sum reuses a block numerator across the v with one
+        # gcd(v, period); the literal sums pin S1's period h (h > 1), S2's
+        # 2^(v2(h)+k) and S3's 2^(v2(d)+1), which need v2(v) past the cap
+        def v2(n):
+            return (n & -n).bit_length() - 1
+
+        for d in range(1, 61):
+            for h in range(1, 25):
+                for vmax in (1, 7, 2**6):
+                    def pin(got, keep, *case):
+                        assert got == reference_truncated_sum(d, h, vmax, keep), (d, h, vmax, *case)
+
+                    pin(truncated_sum_s1(d, h, vmax), lambda v, alpha: True)
+                    for k in range(5):
+                        pin(truncated_sum_s2(d, h, k, vmax), lambda v, alpha: v2(v) >= v2(h) + k, k)
+                    for disc in (-3, -4, 5, 8, 12, -24):
+                        def halves(v, alpha):
+                            return d * v % math.lcm(2 ** (v2(h * d // alpha) + 1), abs(disc)) == 0
+
+                        pin(truncated_sum_s3(d, h, disc, vmax), halves, disc)
 
 
 class TestTailBound:
