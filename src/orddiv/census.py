@@ -8,8 +8,16 @@ scatter.  The exponentiation is a 3-bit-window ladder run in cache-sized
 blocks, and every bulk exponentiation is `_powmod_vec`.
 Divisibility of the order by d is decided per prime power l^a || d from the
 l-free part of p - 1 and a single power test, never from a full order
-computation.  A prime is left out when g is not a unit modulo it, which
-the unit filter reads from the residue of g1 * g2: g itself is never factored.
+computation.  For l = 2 that test runs only at the residues of g with
+2^(a+1) | p - 1: with e = v2(p - 1), a non-residue has v2(ord_p g) = e >= a,
+a hit, and a residue with e = a has v2(ord_p g) < a, a miss.  The character
+(g/p) is the Jacobi symbol (g1 g2/p), periodic in p with period 4|g1 g2|;
+each run reads it from a table over those classes, filled by Euler's
+criterion (a power test) at one prime of each class, when the period is at
+most _POWMOD_BLOCK, and a prime outside the table takes the ladder.  A prime
+is left out when g is not a unit modulo it, which the unit filter reads from
+the residue of g1 * g2, testing only the primes up to |g1 g2|: g itself is
+never factored.
 
 One driver maps runs of consecutive segments, serially or on a process pool of
 at most one process per CPU.  A run is at most _TASK_SPAN numbers wide unless
@@ -282,9 +290,17 @@ def _residues(g1: int, g2: int, ps: np.ndarray) -> np.ndarray:
 
 def _unit_primes(lo: int, hi: int, base_primes: np.ndarray, g1g2: int) -> np.ndarray:
     """The odd primes in [lo, hi] at which g is a unit: those not dividing g1 * g2, read
-    from its residue, so g is never factored."""
+    from its residue, so g is never factored.
+
+    A prime past |g1 g2| divides no nonzero g1 g2, so only the primes up to
+    min(|g1 g2|, hi) are tested; the clamp keeps a huge g1 g2 out of int64.
+    """
     primes = _primes_in_segment(lo, hi, base_primes)
-    return primes[_mod_vec(g1g2, primes) != 0]
+    cut = int(np.searchsorted(primes, min(abs(g1g2), hi), side="right"))
+    if not cut:
+        return primes
+    head = primes[:cut]
+    return np.concatenate((head[_mod_vec(g1g2, head) != 0], primes[cut:]))
 
 
 def _prefilter(primes: np.ndarray, d: int) -> np.ndarray:
@@ -295,16 +311,57 @@ def _prefilter(primes: np.ndarray, d: int) -> np.ndarray:
     return primes[(primes - 1) % d == 0]
 
 
-def _order_hits(gbar: np.ndarray, ps: np.ndarray, d_factors) -> np.ndarray:
+def _character_table(gbar: np.ndarray, ps: np.ndarray, period: int) -> np.ndarray:
+    """(g/p) by residue class of p mod period, as int8: 1, -1, or 0 for a class unseen.
+
+    Each class met among the first _POWMOD_BLOCK primes of ps is read by
+    Euler's criterion, g^((p-1)/2) = (g/p), at its first prime there: one
+    short ladder.
+    """
+    head = ps[:_POWMOD_BLOCK]
+    classes, first = np.unique(head % period, return_index=True)
+    reps = head[first]
+    table = np.zeros(period, dtype=np.int8)
+    table[classes] = np.where(_powmod_vec(gbar[first], (reps - 1) // 2, reps) == 1, 1, -1)
+    return table
+
+
+def _order_hits(gbar: np.ndarray, ps: np.ndarray, d_factors, g1g2: int) -> np.ndarray:
     """Whether d | ord_p(g) at each p in ps, all with d | p - 1, from gbar = g mod p.
 
-    For l^a || d, l^a divides ord_p(g) exactly when g^((p-1)/l^(v_l(p-1)-a+1)) != 1,
-    and that exponent is the l-free part of p - 1 times l^(a-1).
+    Each l^a || d is one _power_test, except that for l = 2 most primes need
+    no ladder.  With e = v2(p - 1) >= a there are three cases:
+      * g is a non-residue mod p exactly when g^((p-1)/2) != 1, that is when
+        v2(ord_p g) = e >= a: a hit;
+      * a residue has v2(ord_p g) <= e - 1, so with e = a it is a miss;
+      * only a residue with 2^(a+1) | p - 1 takes the ladder.
+    The character (g/p) = (g1 g2^(-1)/p) = (g1 g2/p) is a Jacobi symbol, which
+    by quadratic reciprocity depends on the odd p only through p mod 4|g1 g2|.
+    When that period is at most _POWMOD_BLOCK, (g/p) is read from
+    _character_table, and a prime of a class the table has not seen takes the
+    ladder; for a longer period every prime does.
     """
     hit = np.ones(ps.size, dtype=bool)
     for ell, a in d_factors:
-        hit &= _powmod_vec(gbar, _strip_vec(ps - 1, ell) * ell ** (a - 1), ps) != 1
+        if ell == 2 and (period := 4 * abs(g1g2)) <= _POWMOD_BLOCK:
+            chi = _character_table(gbar, ps, period)[ps % period]
+            part = chi == -1
+            # an unseen class, or a residue with 2^(a+1) | p - 1
+            todo = (chi == 0) | ((chi == 1) & ((ps & ((2 << a) - 1)) == 1))
+            part[todo] = _power_test(gbar[todo], ps[todo], ell, a)
+            hit &= part
+        else:
+            hit &= _power_test(gbar, ps, ell, a)
     return hit
+
+
+def _power_test(gbar: np.ndarray, ps: np.ndarray, ell: int, a: int) -> np.ndarray:
+    """Whether l^a | ord_p(g) at each p in ps, all with l^a | p - 1, by one ladder.
+
+    l^a divides ord_p(g) exactly when g^((p-1)/l^(v_l(p-1)-a+1)) != 1, and that
+    exponent is the l-free part of p - 1 times l^(a-1).
+    """
+    return _powmod_vec(gbar, _strip_vec(ps - 1, ell) * ell ** (a - 1), ps) != 1
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +481,7 @@ def _count_run(g: RationalBase, d: int, d_factors, run, considered) -> list[tupl
     """
     hits = _prefilter(considered, d)
     if d_factors:
-        hits = hits[_order_hits(_residues(g.g1, g.g2, hits), hits, d_factors)]
+        hits = hits[_order_hits(_residues(g.g1, g.g2, hits), hits, d_factors, g.g1 * g.g2)]
     ends = [hi for _, hi in run]
     counted, total = (np.diff(np.searchsorted(a, ends, side="right"), prepend=0).tolist()
                       for a in (hits, considered))
@@ -534,7 +591,7 @@ def _identity_run(
     if not ps.size:  # with no prime left, d may be past int64 (see _prefilter)
         return [0] * (1 + len(vs))
     gbar = _residues(g.g1, g.g2, ps)
-    counts = [int(np.count_nonzero(_order_hits(gbar, ps, d_factors)))]
+    counts = [int(np.count_nonzero(_order_hits(gbar, ps, d_factors, g.g1 * g.g2)))]
     ells = [ell for ell, _ in d_factors]
     rad = math.prod(ells)
     smooth = _smooth_part((ps - 1) // d, ells)

@@ -111,7 +111,11 @@ def epsilon1(decomposition: BaseDecomposition, d: int) -> tuple[Fraction, str]:
 
 def density(g: RationalBase | int | str | Fraction, d: int) -> DensityReport:
     """Exact density of primes p (with g a unit mod p) whose order is divisible by d."""
-    dec = decompose(as_base(g))
+    return _density(decompose(as_base(g)), d)
+
+
+def _density(dec: BaseDecomposition, d: int) -> DensityReport:
+    """density for a base already decomposed."""
     eps, label, gamma = _epsilon1_parts(dec, d)
     s = s_factor(d, dec.h)
     return DensityReport(
@@ -129,16 +133,17 @@ def density_by_transfer(g: RationalBase | int | str | Fraction, d: int) -> Fract
     """Density for a negative base computed from positive-base densities only.
 
     Uses the order-flip transfer: for d = 2 (mod 4) the answer is
-    delta(|g|, d/2) + delta(|g|, 2d) - delta(|g|, d), otherwise delta(|g|, d).
+    delta(|g|, d/2) + delta(|g|, 2d) - delta(|g|, d), otherwise delta(|g|, d);
+    |g| is decomposed once for all three.
     """
     base = as_base(g)
     if base.g1 > 0:
         raise ValueError("density_by_transfer requires a negative base")
-    pos = RationalBase(-base.g1, base.g2)
+    dec = decompose(RationalBase(-base.g1, base.g2))
     if d % 4 == 2:
         return (
-            density(pos, d // 2).delta
-            + density(pos, 2 * d).delta
-            - density(pos, d).delta
+            _density(dec, d // 2).delta
+            + _density(dec, 2 * d).delta
+            - _density(dec, d).delta
         )
-    return density(pos, d).delta
+    return _density(dec, d).delta

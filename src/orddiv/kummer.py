@@ -139,6 +139,7 @@ def series_partial(
         lambda v, alpha: _eps_doubled(d * v, alpha * v, dec),
         _two_adic_period(d, dec.h),
     )
+    squares = _inverse_squares(vs)
     blocks: list[tuple[int, Fraction]] = []
     for v, num in zip(vs, nums):
         if num < 0:
@@ -147,8 +148,8 @@ def series_partial(
     return SeriesEstimate(
         d=d,
         vmax=vmax,
-        partial=_sum_over_squares(vs, nums, unit),
-        tail_bound=_series_tail(d, vs, dec.h),
+        partial=_sum_over_squares(squares, nums, unit),
+        tail_bound=_series_tail(d, squares, dec.h),
         blocks=tuple(blocks),
     )
 
@@ -213,25 +214,32 @@ def _block_numerators(
     return unit, nums
 
 
-def _sum_over_squares(vs: list[int], nums: list[int], unit: int = 1) -> Fraction:
-    """The sum of nums[i] / (unit * vs[i]^2), as one Fraction over unit * lcm(vs)^2."""
+def _inverse_squares(vs: list[int]) -> tuple[int, list[int]]:
+    """(den, weights) with 1/vs[i]^2 = weights[i] / den, over den = lcm(vs)^2."""
     lcm = math.lcm(*vs)
-    return Fraction(sum(num * (lcm // v) ** 2 for v, num in zip(vs, nums)), unit * lcm * lcm)
+    return lcm * lcm, [(lcm // v) ** 2 for v in vs]
 
 
-def _tail_envelope(d: int, vs: list[int], coefficient: Fraction) -> Fraction:
+def _sum_over_squares(squares: tuple[int, list[int]], nums: list[int], unit: int = 1) -> Fraction:
+    """The sum of nums[i] / (unit * vs[i]^2) as one Fraction, for squares = _inverse_squares(vs)."""
+    den, weights = squares
+    return Fraction(sum(num * w for w, num in zip(weights, nums)), unit * den)
+
+
+def _tail_envelope(d: int, squares: tuple[int, list[int]], coefficient: Fraction) -> Fraction:
     """coefficient * (sum of 1/v^2 over the v | d^inf past vs), exactly.
 
-    vs holds the v | d^inf up to some vmax.  The sum over every v | d^inf is
-    the Euler product prod_{l|d} l^2/(l^2-1) = d * S(d, 1); the terms in vs
-    are subtracted from it.
+    squares = _inverse_squares(vs) for the v | d^inf up to some vmax.  The sum
+    over every v | d^inf is the Euler product prod_{l|d} l^2/(l^2-1) = d * S(d, 1);
+    the terms in vs are subtracted from it.
     """
-    return coefficient * (d * s_factor(d, 1) - _sum_over_squares(vs, [1] * len(vs)))
+    den, weights = squares
+    return coefficient * (d * s_factor(d, 1) - Fraction(sum(weights), den))
 
 
-def _series_tail(d: int, vs: list[int], h: int) -> Fraction:
-    """The degree series tail past the v | d^inf in vs, for a base with power exponent h."""
-    return _tail_envelope(d, vs, Fraction(2 * h, euler_phi(d)))
+def _series_tail(d: int, squares: tuple[int, list[int]], h: int) -> Fraction:
+    """The degree series tail past the vs of squares, for a base with power exponent h."""
+    return _tail_envelope(d, squares, Fraction(2 * h, euler_phi(d)))
 
 
 def tail_bound(g: RationalBase | int | str | Fraction, d: int, vmax: int) -> Fraction:
@@ -243,7 +251,7 @@ def tail_bound(g: RationalBase | int | str | Fraction, d: int, vmax: int) -> Fra
     """
     if vmax < 1:
         raise ValueError("vmax must be positive")
-    return _series_tail(d, divisors_of_dinfty(d, vmax), decompose(as_base(g)).h)
+    return _series_tail(d, _inverse_squares(divisors_of_dinfty(d, vmax)), decompose(as_base(g)).h)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +277,7 @@ def _truncated_sum(
     unit, nums = _block_numerators(
         d, h, vs, lambda v, alpha: 2 if keep(v, alpha) else 0, period
     )
-    return _sum_over_squares(vs, nums, unit)
+    return _sum_over_squares(_inverse_squares(vs), nums, unit)
 
 
 def truncated_sum_s1(d: int, h: int, vmax: int) -> Fraction:
@@ -343,4 +351,5 @@ def s_sum_tail_bound(d: int, h: int, vmax: int) -> Fraction:
     if vmax < 1:
         raise ValueError("vmax must be positive")
     n_alphas = len(squarefree_divisors(d))
-    return _tail_envelope(d, divisors_of_dinfty(d, vmax), Fraction(n_alphas * h, euler_phi(d)))
+    squares = _inverse_squares(divisors_of_dinfty(d, vmax))
+    return _tail_envelope(d, squares, Fraction(n_alphas * h, euler_phi(d)))

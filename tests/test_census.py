@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 import sympy
 from support import exact_order, run_python
+from sympy.ntheory import is_quad_residue
 
 from orddiv import census
 from orddiv.arith import divisors_of_dinfty, factorize, is_prime, squarefree_divisors, valuation
-from orddiv.base import RationalBase
+from orddiv.base import RationalBase, as_base
 from orddiv.census import (
     _MAX_X_LIMIT,
     _POWMOD_BLOCK,
@@ -45,7 +46,7 @@ def _hit_primes(g: int | Fraction, d: int, x: int) -> list[int]:
     g = Fraction(g)
     g1, g2 = g.numerator, g.denominator
     ps = _prefilter(_unit_primes(3, x, _small_primes(math.isqrt(x)), g1 * g2), d)
-    return ps[_order_hits(_residues(g1, g2, ps), ps, factorize(d).factors)].tolist()
+    return ps[_order_hits(_residues(g1, g2, ps), ps, factorize(d).factors, g1 * g2)].tolist()
 
 
 class TestReduceModP:
@@ -169,6 +170,63 @@ class TestVectorOrders:
         assert report.blocks == tuple(blocks.items())
 
 
+def _orders(g: int | Fraction, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """The odd primes p <= x and SymPy's ord_p(g) at each, 0 where p divides g1 * g2."""
+    primes = _small_primes(x)[1:]
+    return primes, np.array([exact_order(g, p) or 0 for p in primes.tolist()])
+
+
+class TestTwoPartFromCharacter:
+    """The l = 2 test read from (g/p): a non-residue is a hit, a residue with
+    v2(p - 1) = v2(d) a miss, and only a residue with 2^(v2(d)+1) | p - 1 runs the ladder."""
+
+    # 9/4 and 4 are squares; 10007 has 4|g1 g2| > _POWMOD_BLOCK, so every prime takes the ladder
+    @pytest.mark.parametrize("g", [2, 3, -4, -9, 4, Fraction(9, 4), Fraction(-1, 3), 10007])
+    def test_order_hits_match_sympy(self, g):
+        x = 2 * 10**5
+        primes, orders = _orders(g, x)
+        base = as_base(g)
+        considered = _unit_primes(3, x, _small_primes(math.isqrt(x)), base.g1 * base.g2)
+        assert considered.tolist() == primes[orders != 0].tolist()
+        for d in (2, 4, 8, 12, 48):
+            assert _hit_primes(g, d, x) == primes[(orders != 0) & (orders % d == 0)].tolist(), d
+
+    def test_class_unseen_in_first_block_takes_ladder(self, monkeypatch):
+        # with 256-element blocks the table for g = 61 (period 244, 120 classes) is filled
+        # from the first 256 primes, which miss some class met later in the run
+        monkeypatch.setattr(census, "_POWMOD_BLOCK", 256)
+        g, x, period = 61, 2 * 10**5, 4 * 61
+        ps = _prefilter(_unit_primes(3, x, _small_primes(math.isqrt(x)), g), 2)
+        table = census._character_table(_residues(g, 1, ps), ps, period)
+        chi = table[ps % period]
+        assert (chi == 0).any()
+        seen = chi != 0
+        assert chi[seen].tolist() == [1 if is_quad_residue(g, p) else -1 for p in ps[seen].tolist()]
+        primes, orders = _orders(g, x)
+        for d in (2, 4, 12):
+            assert _hit_primes(g, d, x) == primes[(orders != 0) & (orders % d == 0)].tolist(), d
+
+    @pytest.mark.parametrize("g, d", [(2, 4), (Fraction(-1, 3), 12), (-9, 2), (4, 8), (3, 48)])
+    def test_ladder_runs_only_on_residues_with_two_part_to_spare(self, g, d, monkeypatch):
+        tested = []
+        power_test = census._power_test
+
+        def record(gbar, ps, ell, a):
+            if ell == 2:
+                tested.append(ps.tolist())
+            return power_test(gbar, ps, ell, a)
+
+        monkeypatch.setattr(census, "_power_test", record)
+        x = 10**5
+        run_census(CensusConfig(g, d, x, segment_size=10**4))  # one run
+        base, a = as_base(g), valuation(2, d)
+        n = base.g1 * base.g2
+        want = [p for p in _small_primes(x)[1:].tolist()
+                if n % p and (p - 1) % d == 0 and (p - 1) % 2 ** (a + 1) == 0
+                and is_quad_residue(n, p)]
+        assert tested == [want]
+
+
 class TestSieve:
     def test_segment_matches_simple_sieve(self):
         base = _small_primes(1000)
@@ -198,6 +256,17 @@ class TestSieve:
             assert base[1] <= split < base[base * base <= hi][-1]
             got = _primes_in_segment(lo, hi, base)
             assert got.tolist() == whole[(whole >= lo) & (whole <= hi)].tolist()
+
+    def test_unit_filter_reads_only_primes_up_to_g1g2(self, monkeypatch):
+        # a prime past |g1 g2| cannot divide it; a g1 g2 past every prime tests them all
+        sizes = []
+        mod_vec = census._mod_vec
+        monkeypatch.setattr(census, "_mod_vec", lambda n, mod: sizes.append(mod.size) or mod_vec(n, mod))
+        base_primes, odd = _small_primes(100), _small_primes(10**4)[1:]
+        assert _unit_primes(3, 10**4, base_primes, -15).tolist() == odd[odd > 5].tolist()
+        assert _unit_primes(17, 10**4, base_primes, -15).tolist() == odd[odd >= 17].tolist()
+        assert _unit_primes(3, 10**4, base_primes, _HARD_BASE).tolist() == odd.tolist()
+        assert sizes == [5, odd.size]
 
 
 class TestRunCensus:
@@ -626,8 +695,9 @@ class TestKeyIdentity:
 
     @pytest.mark.parametrize("g, d, x", [(7, 210, 10**6), (3, 12, 5 * 10**5)])
     def test_ladders_per_block(self, g, d, x, monkeypatch):
-        # omega(d) power tests for lhs, 2 + omega(d) ladders per block with a prime,
-        # none for an empty block, and one inverse ladder per run when g2 != 1
+        # omega(d) power tests for lhs, and for even d one character ladder (the run's
+        # table of (g/p)); 2 + omega(d) ladders per block with a prime, none for an
+        # empty block, and one inverse ladder per run when g2 != 1.  x is one run.
         calls = []
         powmod = census._powmod_vec
         monkeypatch.setattr(census, "_powmod_vec", lambda *a: calls.append(1) or powmod(*a))
@@ -638,7 +708,8 @@ class TestKeyIdentity:
                      if sympy.isprime(k * d + 1) and g.numerator * g.denominator % (k * d + 1)]
         blocks = sum(any(q % v == 0 for q in quotients) for v in divisors_of_dinfty(d, (x - 1) // d))
         omega = len(sympy.primefactors(d))
-        assert 0 < len(calls) <= omega + (2 + omega) * blocks + (g.denominator != 1)
+        character = d % 2 == 0
+        assert 0 < len(calls) <= omega + character + (2 + omega) * blocks + (g.denominator != 1)
 
     def test_matches_census_at_1e7(self):
         x = 10**7

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,9 @@ from orddiv.density import (
     epsilon_table,
     s_factor,
 )
+
+# the module itself: the package's `density` attribute is the function
+density_module = importlib.import_module("orddiv.density")
 
 
 class TestSFactor:
@@ -76,6 +80,23 @@ class TestDensity:
     def test_transfer_rejects_positive(self):
         with pytest.raises(ValueError):
             density_by_transfer(2, 4)
+
+    def test_transfer_decomposes_once(self, monkeypatch):
+        # for d = 2 (mod 4) the three densities of |g| share one decomposition
+        calls = []
+        monkeypatch.setattr(density_module, "decompose",
+                            lambda base: calls.append(base) or decompose(base))
+        for g in (-2, -3, -9, Fraction(-8, 27), -12, Fraction(-1, 3)):
+            for d in range(1, 31):
+                calls.clear()
+                got = density_by_transfer(g, d)
+                assert len(calls) == 1, (g, d)
+                pos = -Fraction(g)
+                if d % 4 == 2:
+                    want = density(pos, d // 2).delta + density(pos, 2 * d).delta - density(pos, d).delta
+                else:
+                    want = density(pos, d).delta
+                assert got == want, (g, d)
 
     def test_transfer_consistency_grid(self):
         for g in range(-12, -1):
