@@ -8,16 +8,17 @@ scatter.  The exponentiation is a 3-bit-window ladder run in cache-sized
 blocks, and every bulk exponentiation is `_powmod_vec`.
 Divisibility of the order by d is decided per prime power l^a || d from the
 l-free part of p - 1 and a single power test, never from a full order
-computation.  For l = 2 that test runs only at the residues of g with
-2^(a+1) | p - 1: with e = v2(p - 1), a non-residue has v2(ord_p g) = e >= a,
-a hit, and a residue with e = a has v2(ord_p g) < a, a miss.  The character
-(g/p) is the Jacobi symbol (g1 g2/p), periodic in p with period 4|g1 g2|;
-each run reads it from a table over those classes, filled by Euler's
-criterion (a power test) at one prime of each class, when the period is at
-most _POWMOD_BLOCK, and a prime outside the table takes the ladder.  A prime
-is left out when g is not a unit modulo it, which the unit filter reads from
-the residue of g1 * g2, testing only the primes up to |g1 g2|: g itself is
-never factored.
+computation.  Each stage returns the primes that pass it: each l^a || d, in
+ascending l, narrows the array the next reads, so the odd-l ladders see only
+the 2-part's survivors.  For l = 2 the ladder runs only at the residues of g
+with 2^(a+1) | p - 1: with e = v2(p - 1) >= a, a non-residue has
+v2(ord_p g) = e, a hit, and a residue with e = a has v2(ord_p g) < a, a miss.
+The character (g/p) is the Jacobi symbol (g1 g2/p), periodic in p with period
+4|g1 g2|; up to a period of _POWMOD_BLOCK each run reads it from a table
+filled by Euler's criterion (a power test) at one prime of every class it
+meets, and beyond it every prime takes the ladder.  A prime is left out when
+g is not a unit modulo it, which the unit filter reads from the residue of
+g1 * g2, testing only the primes up to |g1 g2|: g itself is never factored.
 
 One driver maps runs of consecutive segments, serially or on a process pool of
 at most one process per CPU.  A run is at most _TASK_SPAN numbers wide unless
@@ -312,25 +313,27 @@ def _prefilter(primes: np.ndarray, d: int) -> np.ndarray:
 
 
 def _character_table(gbar: np.ndarray, ps: np.ndarray, period: int) -> np.ndarray:
-    """(g/p) by residue class of p mod period, as int8: 1, -1, or 0 for a class unseen.
+    """(g/p) by residue class of p mod period, as int8 1 or -1 at each class ps meets.
 
-    Each class met among the first _POWMOD_BLOCK primes of ps is read by
-    Euler's criterion, g^((p-1)/2) = (g/p), at its first prime there: one
-    short ladder.
+    Euler's criterion, g^((p-1)/2) = (g/p), reads each class at whichever of
+    its primes the scatter keeps: one ladder over the classes met.
     """
-    head = ps[:_POWMOD_BLOCK]
-    classes, first = np.unique(head % period, return_index=True)
-    reps = head[first]
+    at = np.full(period, -1, dtype=np.int64)
+    at[ps % period] = np.arange(ps.size)
+    classes = np.flatnonzero(at >= 0)
+    reps = ps[at[classes]]
     table = np.zeros(period, dtype=np.int8)
-    table[classes] = np.where(_powmod_vec(gbar[first], (reps - 1) // 2, reps) == 1, 1, -1)
+    table[classes] = np.where(_powmod_vec(gbar[at[classes]], (reps - 1) // 2, reps) == 1, 1, -1)
     return table
 
 
 def _order_hits(gbar: np.ndarray, ps: np.ndarray, d_factors, g1g2: int) -> np.ndarray:
-    """Whether d | ord_p(g) at each p in ps, all with d | p - 1, from gbar = g mod p.
+    """The primes of ps at which d | ord_p(g), all with d | p - 1, from gbar = g mod p.
 
-    Each l^a || d is one _power_test, except that for l = 2 most primes need
-    no ladder.  With e = v2(p - 1) >= a there are three cases:
+    Each l^a || d, in ascending l, keeps the primes that pass its test, so an
+    odd-l ladder reads only the 2-part's survivors.  Each test is one
+    _power_test, except that for l = 2 most primes need no ladder.  With
+    e = v2(p - 1) >= a there are three cases:
       * g is a non-residue mod p exactly when g^((p-1)/2) != 1, that is when
         v2(ord_p g) = e >= a: a hit;
       * a residue has v2(ord_p g) <= e - 1, so with e = a it is a miss;
@@ -338,21 +341,18 @@ def _order_hits(gbar: np.ndarray, ps: np.ndarray, d_factors, g1g2: int) -> np.nd
     The character (g/p) = (g1 g2^(-1)/p) = (g1 g2/p) is a Jacobi symbol, which
     by quadratic reciprocity depends on the odd p only through p mod 4|g1 g2|.
     When that period is at most _POWMOD_BLOCK, (g/p) is read from
-    _character_table, and a prime of a class the table has not seen takes the
-    ladder; for a longer period every prime does.
+    _character_table; for a longer period every prime takes the ladder.
     """
-    hit = np.ones(ps.size, dtype=bool)
     for ell, a in d_factors:
         if ell == 2 and (period := 4 * abs(g1g2)) <= _POWMOD_BLOCK:
             chi = _character_table(gbar, ps, period)[ps % period]
-            part = chi == -1
-            # an unseen class, or a residue with 2^(a+1) | p - 1
-            todo = (chi == 0) | ((chi == 1) & ((ps & ((2 << a) - 1)) == 1))
-            part[todo] = _power_test(gbar[todo], ps[todo], ell, a)
-            hit &= part
+            keep = chi == -1
+            todo = (chi == 1) & ((ps & ((2 << a) - 1)) == 1)  # a residue with 2^(a+1) | p - 1
+            keep[todo] = _power_test(gbar[todo], ps[todo], ell, a)
         else:
-            hit &= _power_test(gbar, ps, ell, a)
-    return hit
+            keep = _power_test(gbar, ps, ell, a)
+        ps, gbar = ps[keep], gbar[keep]
+    return ps
 
 
 def _power_test(gbar: np.ndarray, ps: np.ndarray, ell: int, a: int) -> np.ndarray:
@@ -481,7 +481,7 @@ def _count_run(g: RationalBase, d: int, d_factors, run, considered) -> list[tupl
     """
     hits = _prefilter(considered, d)
     if d_factors:
-        hits = hits[_order_hits(_residues(g.g1, g.g2, hits), hits, d_factors, g.g1 * g.g2)]
+        hits = _order_hits(_residues(g.g1, g.g2, hits), hits, d_factors, g.g1 * g.g2)
     ends = [hi for _, hi in run]
     counted, total = (np.diff(np.searchsorted(a, ends, side="right"), prepend=0).tolist()
                       for a in (hits, considered))
@@ -591,7 +591,7 @@ def _identity_run(
     if not ps.size:  # with no prime left, d may be past int64 (see _prefilter)
         return [0] * (1 + len(vs))
     gbar = _residues(g.g1, g.g2, ps)
-    counts = [int(np.count_nonzero(_order_hits(gbar, ps, d_factors, g.g1 * g.g2)))]
+    counts = [_order_hits(gbar, ps, d_factors, g.g1 * g.g2).size]
     ells = [ell for ell, _ in d_factors]
     rad = math.prod(ells)
     smooth = _smooth_part((ps - 1) // d, ells)

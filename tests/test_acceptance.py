@@ -134,9 +134,9 @@ def test_criterion_5_order_tests():
         assert considered.tolist() == primes[orders != 0].tolist(), g
         for d in range(1, 49):
             ps = _prefilter(considered, d)
-            hit = _order_hits(_residues(base.g1, base.g2, ps), ps, factorize(d).factors,
-                              base.g1 * base.g2)
-            assert ps[hit].tolist() == primes[(orders != 0) & (orders % d == 0)].tolist(), (g, d)
+            hits = _order_hits(_residues(base.g1, base.g2, ps), ps, factorize(d).factors,
+                               base.g1 * base.g2)
+            assert hits.tolist() == primes[(orders != 0) & (orders % d == 0)].tolist(), (g, d)
             test_runs += 1
     for g in (2, 3, 5):
         assert verify_order_flip(g, 10**4)

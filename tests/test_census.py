@@ -46,7 +46,7 @@ def _hit_primes(g: int | Fraction, d: int, x: int) -> list[int]:
     g = Fraction(g)
     g1, g2 = g.numerator, g.denominator
     ps = _prefilter(_unit_primes(3, x, _small_primes(math.isqrt(x)), g1 * g2), d)
-    return ps[_order_hits(_residues(g1, g2, ps), ps, factorize(d).factors, g1 * g2)].tolist()
+    return _order_hits(_residues(g1, g2, ps), ps, factorize(d).factors, g1 * g2).tolist()
 
 
 class TestReduceModP:
@@ -191,17 +191,17 @@ class TestTwoPartFromCharacter:
         for d in (2, 4, 8, 12, 48):
             assert _hit_primes(g, d, x) == primes[(orders != 0) & (orders % d == 0)].tolist(), d
 
-    def test_class_unseen_in_first_block_takes_ladder(self, monkeypatch):
-        # with 256-element blocks the table for g = 61 (period 244, 120 classes) is filled
-        # from the first 256 primes, which miss some class met later in the run
+    def test_table_reads_every_class_the_run_meets(self, monkeypatch):
+        # with 256-element blocks the first 256 primes of g = 61 (period 244, 120 classes)
+        # miss some class met later in the run; the table still holds every one
         monkeypatch.setattr(census, "_POWMOD_BLOCK", 256)
         g, x, period = 61, 2 * 10**5, 4 * 61
         ps = _prefilter(_unit_primes(3, x, _small_primes(math.isqrt(x)), g), 2)
         table = census._character_table(_residues(g, 1, ps), ps, period)
+        assert np.unique(ps[:256] % period).size < np.unique(ps % period).size
         chi = table[ps % period]
-        assert (chi == 0).any()
-        seen = chi != 0
-        assert chi[seen].tolist() == [1 if is_quad_residue(g, p) else -1 for p in ps[seen].tolist()]
+        assert (chi != 0).all()
+        assert chi.tolist() == [1 if is_quad_residue(g, p) else -1 for p in ps.tolist()]
         primes, orders = _orders(g, x)
         for d in (2, 4, 12):
             assert _hit_primes(g, d, x) == primes[(orders != 0) & (orders % d == 0)].tolist(), d
@@ -225,6 +225,26 @@ class TestTwoPartFromCharacter:
                 if n % p and (p - 1) % d == 0 and (p - 1) % 2 ** (a + 1) == 0
                 and is_quad_residue(n, p)]
         assert tested == [want]
+
+    def test_odd_ladders_run_only_on_two_part_survivors(self, monkeypatch):
+        # each odd l^a || d reads only the primes with d | p - 1 whose 2-part test passed
+        tested = []
+        power_test = census._power_test
+
+        def record(gbar, ps, ell, a):
+            if ell != 2:
+                tested.append(ps.tolist())
+            return power_test(gbar, ps, ell, a)
+
+        monkeypatch.setattr(census, "_power_test", record)
+        x = 10**5
+        for g, d in ((3, 12), (Fraction(-1, 3), 12), (-9, 6), (4, 6)):
+            tested.clear()
+            run_census(CensusConfig(g, d, x, segment_size=10**4))  # one run
+            primes, orders = _orders(g, x)
+            two = 2 ** valuation(2, d)
+            want = primes[(orders != 0) & ((primes - 1) % d == 0) & (orders % two == 0)]
+            assert tested == [want.tolist()], (g, d)
 
 
 class TestSieve:
