@@ -1,6 +1,7 @@
 """Density of primes p with d | ord_p(g), by three mutually verifying routes.
 
 * ``density``            exact closed form (rational output)
+* ``series_exact``       the field-degree series summed exactly over classes of v
 * ``series_partial``     truncated field-degree series with a rigorous tail
                          bound bracketing the exact value
 * ``run_census``         empirical segmented prime census up to x
@@ -51,11 +52,12 @@ from .kummer import (
     closed_sum_s2,
     closed_sum_s3,
     degree,
+    series_exact,
     series_partial,
+    sum_s1,
+    sum_s2,
+    sum_s3,
     tail_bound,
-    truncated_sum_s1,
-    truncated_sum_s2,
-    truncated_sum_s3,
 )
 from .tables import TABLE_NEGATIVE, TABLE_POSITIVE, TableRow, table_rows
 

@@ -4,13 +4,13 @@ Subcommands
 -----------
 density   exact closed-form density report for one (g, d)
 table     the bundled 16-row reference tables (2 = positive g, 3 = negative g)
-oracle    truncated degree series + tail bound, checked against the closed form
+oracle    degree series, exact and as a bracket, checked against the closed form
 census    segmented prime census of d | ord_p(g) up to x (checkpointable)
 verify    exact finite-x identity between the order count and the
           Mobius-weighted residual-index census
 
-Exit codes: 0 success, 1 verification/bracket failure, checkpoint error or
-closed output pipe, 2 usage error.
+Exit codes: 0 success, 1 verification, bracket or exact-sum failure, checkpoint
+error or closed output pipe, 2 usage error.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 from .base import RationalBase, as_base
 from .census import CensusConfig, CheckpointError, run_census, verify_key_identity
 from .density import density
-from .kummer import series_partial
+from .kummer import series_exact, series_partial
 from .tables import FOOTNOTES, table_rows
 
 __all__ = ["main", "decimal_string"]
@@ -155,6 +155,7 @@ def _table_command(args) -> int:
 def _oracle_command(args) -> int:
     estimate = series_partial(args.g, args.d, args.vmax)
     delta = density(args.g, args.d).delta
+    exact = series_exact(args.g, args.d)
     ok = estimate.partial <= delta <= estimate.partial + estimate.tail_bound
     payload = {
         "d": estimate.d,
@@ -164,17 +165,19 @@ def _oracle_command(args) -> int:
         "tail_bound": str(estimate.tail_bound),
         "delta": str(delta),
         "delta_decimal": decimal_string(delta),
+        "exact": str(exact),
         "bracket": "PASS" if ok else "FAIL",
     }
     lines = [
         f"partial    = {payload['partial']} = {payload['partial_decimal']}  (over {len(estimate.blocks)} blocks, vmax={estimate.vmax})",
         f"tail bound ~ {float(estimate.tail_bound):.3e}",
         f"delta      = {payload['delta']} = {payload['delta_decimal']}",
+        f"exact      = {payload['exact']}  ({'==' if exact == delta else '!='} delta, every v)",
         f"bracket    = {payload['bracket']}",
     ]
     blocks = [{"v": v, "block": str(b)} for v, b in estimate.blocks]
     _emit(args.format, [payload], lines, {**payload, "blocks": blocks})
-    return 0 if ok else 1
+    return 0 if ok and exact == delta else 1
 
 
 def _census_command(args) -> int:
@@ -262,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_table.set_defaults(run=_table_command)
 
-    p_oracle = sub.add_parser("oracle", help="degree-series bracket vs closed form")
+    p_oracle = sub.add_parser("oracle", help="degree series, exact and bracket, vs closed form")
     add_common(p_oracle)
     p_oracle.add_argument("--vmax", type=_positive_int, default=2**16)
     p_oracle.set_defaults(run=_oracle_command)

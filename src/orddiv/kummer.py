@@ -2,10 +2,11 @@
 
 The density of {p : d | ord_p(g)} equals the double sum over v | d^inf and
 squarefree alpha | d of mu(alpha)/[Q(zeta_dv, g^(1/(alpha v))):Q].  This
-module evaluates the degrees in closed form, truncates the series with a
-rigorous tail bound (so that [partial, partial + tail] always brackets the
-exact density), and exposes the three auxiliary divisor sums S1, S2, S3 both
-as literal truncations and in closed form.
+module evaluates the degrees in closed form, sums the whole series exactly
+over finitely many classes of v, truncates it with a rigorous tail bound (so
+that [partial, partial + tail] always brackets the exact density), and gives
+the three auxiliary divisor sums S1, S2, S3 both as exact class sums and in
+closed form.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from functools import lru_cache
 from .arith import (
     divisors_of_dinfty,
     euler_phi,
+    factorize,
+    gcd_with_dinfty,
     squarefree_divisors,
     valuation,
 )
@@ -37,14 +40,14 @@ __all__ = [
     "degree",
     "SeriesEstimate",
     "series_partial",
+    "series_exact",
     "tail_bound",
     "closed_sum_s1",
     "closed_sum_s2",
     "closed_sum_s3",
-    "truncated_sum_s1",
-    "truncated_sum_s2",
-    "truncated_sum_s3",
-    "s_sum_tail_bound",
+    "sum_s1",
+    "sum_s2",
+    "sum_s3",
 ]
 
 
@@ -113,32 +116,20 @@ class SeriesEstimate:
     blocks: tuple[tuple[int, Fraction], ...]
 
 
-def series_partial(
-    g: RationalBase | int | str | Fraction, d: int, vmax: int
-) -> SeriesEstimate:
+def series_partial(g: RationalBase | int | str | Fraction, d: int, vmax: int) -> SeriesEstimate:
     """Sum the degree series over v | d^inf, v <= vmax, recording per-v blocks.
 
     Each block is the inner Mobius sum at one v; blocks are provably
     nonnegative, so partial sums increase monotonically toward the density.
     A block is num / (unit v^2) with a numerator that depends on v only
-    through gcd(v, 2^(v2(d)+1) h), so it is computed once per such class:
-    a term reads v through gcd(alpha v, h), through v2(alpha v) capped at
-    v2(h) + 1, and through whether a threshold divides dv; the threshold's
-    odd part is squarefree, so it divides dv exactly when it divides d, and
-    its 2-part divides dv once v2(v) reaches v2(h) + v2(d) + 1 (in full at
-    _two_adic_period).
+    through gcd(v, 2^(v2(d)+1) h), so it is computed once per such class
+    (the proof is at _two_adic_period).
     """
     if vmax < 1:
         raise ValueError("vmax must be positive")
     dec = decompose(as_base(g))
     vs = divisors_of_dinfty(d, vmax)
-    unit, nums = _block_numerators(
-        d,
-        dec.h,
-        vs,
-        lambda v, alpha: _eps_doubled(d * v, alpha * v, dec),
-        _two_adic_period(d, dec.h),
-    )
+    unit, nums = _block_numerators(d, dec.h, vs, _series_eps(d, dec), _two_adic_period(d, dec.h))
     squares = _inverse_squares(vs)
     blocks: list[tuple[int, Fraction]] = []
     for v, num in zip(vs, nums):
@@ -152,6 +143,17 @@ def series_partial(
         tail_bound=_series_tail(d, squares, dec.h),
         blocks=tuple(blocks),
     )
+
+
+def series_exact(g: RationalBase | int | str | Fraction, d: int) -> Fraction:
+    """The whole degree series, summed over every v | d^inf, as one Fraction (see _exact_sum)."""
+    dec = decompose(as_base(g))
+    return _exact_sum(d, dec.h, _series_eps(d, dec), _two_adic_period(d, dec.h))
+
+
+def _series_eps(d: int, dec: BaseDecomposition) -> Callable[[int, int], int]:
+    """The series' eps_doubled(v, alpha) for _block_numerators: 2 eps at kr = dv, k = alpha v."""
+    return lambda v, alpha: _eps_doubled(d * v, alpha * v, dec)
 
 
 def _two_adic_period(d: int, h: int) -> int:
@@ -170,12 +172,35 @@ def _two_adic_period(d: int, h: int) -> int:
     return 2 * (d & -d) * h  # d & -d is 2^v2(d)
 
 
+def _exact_sum(d: int, h: int, eps_doubled: Callable[[int, int], int], period: int) -> Fraction:
+    """The double sum of _block_numerators over every v | d^inf, as one Fraction.
+
+    The block at v is num(c) / (unit v^2) with c = gcd(v, P) for the period P;
+    the classes c are the divisors of C = prod_{l|d} l^E, E = v_l(P), each its
+    own key.  With e = v_l(c), the class of c holds the v | d^inf with
+    v_l(v) = e where e < E and v_l(v) >= E where e = E.  Its sum of 1/v^2 is
+    W_c = prod_{l|d} of l^(-2e) (e < E) or of sum_{j>=E} l^(-2j) =
+    l^(-2E) l^2/(l^2-1) (e = E), i.e. c^(-2) prod_{l : e = E} l^2/(l^2-1), and
+    the series is the finite sum of num(c) W_c / unit.  Over unit C^2
+    prod_{l|d} (l^2-1), W_c's numerator is (C/c)^2 times l^2 for each l with
+    e = E (l does not divide C/c) and l^2-1 for each other l.
+    """
+    top = gcd_with_dinfty(period, d)
+    classes = [c for c in divisors_of_dinfty(d, top) if top % c == 0]
+    unit, nums = _block_numerators(d, h, classes, eps_doubled, period)
+    primes = factorize(d).primes()
+    total = 0
+    for c, num in zip(classes, nums):
+        rest = top // c
+        weight = rest * rest
+        for ell in primes:
+            weight *= ell * ell - 1 if rest % ell == 0 else ell * ell
+        total += num * weight
+    return Fraction(total, unit * top * top * math.prod(ell * ell - 1 for ell in primes))
+
+
 def _block_numerators(
-    d: int,
-    h: int,
-    vs: list[int],
-    eps_doubled: Callable[[int, int], int],
-    period: int,
+    d: int, h: int, vs: list[int], eps_doubled: Callable[[int, int], int], period: int
 ) -> tuple[int, list[int]]:
     """(unit, nums): the block of the double sum at vs[i] is nums[i] / (unit * vs[i]^2).
 
@@ -226,20 +251,15 @@ def _sum_over_squares(squares: tuple[int, list[int]], nums: list[int], unit: int
     return Fraction(sum(num * w for w, num in zip(weights, nums)), unit * den)
 
 
-def _tail_envelope(d: int, squares: tuple[int, list[int]], coefficient: Fraction) -> Fraction:
-    """coefficient * (sum of 1/v^2 over the v | d^inf past vs), exactly.
+def _series_tail(d: int, squares: tuple[int, list[int]], h: int) -> Fraction:
+    """2h/phi(d) times the sum of 1/v^2 over the v | d^inf past vs, exactly.
 
     squares = _inverse_squares(vs) for the v | d^inf up to some vmax.  The sum
     over every v | d^inf is the Euler product prod_{l|d} l^2/(l^2-1) = d * S(d, 1);
     the terms in vs are subtracted from it.
     """
     den, weights = squares
-    return coefficient * (d * s_factor(d, 1) - Fraction(sum(weights), den))
-
-
-def _series_tail(d: int, squares: tuple[int, list[int]], h: int) -> Fraction:
-    """The degree series tail past the vs of squares, for a base with power exponent h."""
-    return _tail_envelope(d, squares, Fraction(2 * h, euler_phi(d)))
+    return Fraction(2 * h, euler_phi(d)) * (d * s_factor(d, 1) - Fraction(sum(weights), den))
 
 
 def tail_bound(g: RationalBase | int | str | Fraction, d: int, vmax: int) -> Fraction:
@@ -255,55 +275,42 @@ def tail_bound(g: RationalBase | int | str | Fraction, d: int, vmax: int) -> Fra
 
 
 # ---------------------------------------------------------------------------
-# Auxiliary divisor sums.  S1 substitutes the generic degree into the series;
-# S2 restricts S1 to v with v2(v) >= v2(h) + k; S3 keeps the pairs (v, alpha)
-# where the degree halves, i.e. where the threshold n_r with r = d/alpha
-# divides dv.  Their closed forms multiply S(d, h) by 1, 4^(-k), and
-# (-1/2)^(2^gamma) respectively (in the regimes where the restrictions bite;
-# see each function).
+# Auxiliary divisor sums, each summed exactly over every v | d^inf by
+# _exact_sum.  S1 substitutes the generic degree phi(dv) alpha v /
+# gcd(alpha v, h), the series' degree at eps = 1 (eps_doubled 2), into the
+# series; S2 restricts S1 to v with v2(v) >= v2(h) + k; S3 keeps the pairs
+# (v, alpha) where the degree halves, i.e. where the threshold n_r with
+# r = d/alpha divides dv.  An excluded pair has eps_doubled 0.  The rule must
+# read v only through gcd(v, period), as must the generic term, which reads
+# gcd(v, h); so h | period.  Their closed forms multiply S(d, h) by 1, 4^(-k),
+# and (-1/2)^(2^gamma) respectively (in the regimes where the restrictions
+# bite; see each function).
 # ---------------------------------------------------------------------------
 
 
-def _truncated_sum(
-    d: int, h: int, vmax: int, keep: Callable[[int, int], bool], period: int
-) -> Fraction:
-    """Generic-degree double sum over v | d^inf, v <= vmax, and the pairs keep(v, alpha) admits.
-
-    The generic degree phi(dv) alpha v / gcd(alpha v, h) is the series' degree
-    at eps = 1.  keep must read v only through gcd(v, period), as must the
-    generic term, which reads gcd(v, h); so h | period.
-    """
-    vs = divisors_of_dinfty(d, vmax)
-    unit, nums = _block_numerators(
-        d, h, vs, lambda v, alpha: 2 if keep(v, alpha) else 0, period
-    )
-    return _sum_over_squares(_inverse_squares(vs), nums, unit)
+def sum_s1(d: int, h: int) -> Fraction:
+    """The generic-degree double sum over every v | d^inf."""
+    return _exact_sum(d, h, lambda v, alpha: 2, h)
 
 
-def truncated_sum_s1(d: int, h: int, vmax: int) -> Fraction:
-    """Literal truncation of the generic-degree double sum."""
-    return _truncated_sum(d, h, vmax, lambda v, alpha: True, h)
-
-
-def truncated_sum_s2(d: int, h: int, k: int, vmax: int) -> Fraction:
+def sum_s2(d: int, h: int, k: int) -> Fraction:
     """As S1 but restricted to v with v2(v) >= v2(h) + k."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     cutoff = valuation(2, h) + k
-    return _truncated_sum(
-        d, h, vmax, lambda v, alpha: valuation(2, v) >= cutoff, math.lcm(h, 2**cutoff)
+    return _exact_sum(
+        d, h, lambda v, alpha: 2 * (valuation(2, v) >= cutoff), math.lcm(h, 2**cutoff)
     )
 
 
-def truncated_sum_s3(d: int, h: int, disc: int, vmax: int) -> Fraction:
+def sum_s3(d: int, h: int, disc: int) -> Fraction:
     """As S1 but keeping only pairs with lcm(2^(v2(h d/alpha)+1), |disc|) | dv."""
     if not is_fundamental_discriminant(disc):
         raise ValueError(f"{disc} is not a fundamental discriminant")
-    return _truncated_sum(
+    return _exact_sum(
         d,
         h,
-        vmax,
-        lambda v, alpha: d * v % _halving_threshold(h, d // alpha, disc) == 0,
+        lambda v, alpha: 2 * (d * v % _halving_threshold(h, d // alpha, disc) == 0),
         _two_adic_period(d, h),
     )
 
@@ -340,16 +347,3 @@ def closed_sum_s3(d: int, h: int, disc: int) -> Fraction:
         return Fraction(0)
     return epsilon_table(1, gamma_exponent(disc, d, h)) * s_factor(d, h)
 
-
-def s_sum_tail_bound(d: int, h: int, vmax: int) -> Fraction:
-    """Tail bound shared by the truncated S sums.
-
-    Every v-term of S1 (and a fortiori of the restricted S2/S3) is bounded by
-    2^omega(d) * h / (phi(d) v^2) in absolute value; the bound is that
-    coefficient times the exact sum of 1/v^2 over v | d^inf past vmax.
-    """
-    if vmax < 1:
-        raise ValueError("vmax must be positive")
-    n_alphas = len(squarefree_divisors(d))
-    squares = _inverse_squares(divisors_of_dinfty(d, vmax))
-    return _tail_envelope(d, squares, Fraction(n_alphas * h, euler_phi(d)))

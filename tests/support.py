@@ -2,17 +2,13 @@
 
 `exact_order` is the tests' oracle for orders: SymPy's `n_order`, which
 shares no code with orddiv.  `reference_series` is the degree series summed
-term by term from `kummer.degree`, the tests' reference for the degrees, and
-`reference_truncated_sum` the generic-degree double sum behind S1-S3, also
-term by term.
+term by term from `kummer.degree`, the tests' reference for the degrees.
 `run_python` starts a child interpreter that imports the orddiv under test.
 """
 
-import math
 import os
 import subprocess
 import sys
-from collections.abc import Callable
 from fractions import Fraction
 
 from sympy.ntheory import n_order
@@ -51,21 +47,6 @@ def reference_series(g: int | Fraction, d: int, vmax: int) -> SeriesEstimate:
         head += Fraction(1, v * v)
     tail = Fraction(2 * dec.h, euler_phi(d)) * (d * s_factor(d, 1) - head)
     return SeriesEstimate(d, vmax, partial, tail, tuple(blocks))
-
-
-def reference_truncated_sum(d: int, h: int, vmax: int, keep: Callable[[int, int], bool]) -> Fraction:
-    """The generic-degree double sum over the pairs keep(v, alpha) admits, one Fraction at a time.
-
-    Adds mu(alpha) / (phi(d v) alpha v / gcd(alpha v, h)) over v | d^inf,
-    v <= vmax, and squarefree alpha | d: the truncated_sum_s1/s2/s3 of
-    kummer, by their definition.
-    """
-    total, alphas = Fraction(0), squarefree_divisors(d)
-    for v in divisors_of_dinfty(d, vmax):
-        for alpha, mu in alphas:
-            if keep(v, alpha):
-                total += Fraction(mu, euler_phi(d * v) * alpha * v // math.gcd(alpha * v, h))
-    return total
 
 
 def run_python(*args: str, env: dict[str, str] | None = None, **kwargs) -> subprocess.CompletedProcess:

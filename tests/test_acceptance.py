@@ -33,11 +33,10 @@ from orddiv.kummer import (
     closed_sum_s1,
     closed_sum_s2,
     closed_sum_s3,
-    s_sum_tail_bound,
     series_partial,
-    truncated_sum_s1,
-    truncated_sum_s2,
-    truncated_sum_s3,
+    sum_s1,
+    sum_s2,
+    sum_s3,
 )
 from orddiv.tables import TABLE_NEGATIVE, TABLE_POSITIVE
 
@@ -177,25 +176,24 @@ def test_criterion_6_empirical_census():
 
 
 def test_criterion_7_closed_sum_identities():
+    # each S sum is summed exactly over every v | d^inf and equals its closed
+    # form; S1's period h, S2's lcm(h, 2^(v2(h)+k)) and S3's 2^(v2(d)+1) h
+    # each matter: a shorter period changes hundreds of these 21600 cases
     start = time.time()
-    vmax = 2**12
     checked = 0
-    for d in range(1, 13):
-        for h in range(1, 13):
-            budget = s_sum_tail_bound(d, h, vmax)
-            assert abs(truncated_sum_s1(d, h, vmax) - closed_sum_s1(d, h)) <= budget
+    for d in range(1, 61):
+        for h in range(1, 25):
+            assert sum_s1(d, h) == closed_sum_s1(d, h), (d, h)
             checked += 1
-            for k in (0, 1, 2):
-                gap = abs(truncated_sum_s2(d, h, k, vmax) - closed_sum_s2(d, h, k))
-                assert gap <= budget, (d, h, k)
+            for k in range(4):
+                assert sum_s2(d, h, k) == closed_sum_s2(d, h, k), (d, h, k)
                 checked += 1
-            for disc in (5, 8, 12, 24):
-                gap = abs(truncated_sum_s3(d, h, disc, vmax) - closed_sum_s3(d, h, disc))
-                assert gap <= budget, (d, h, disc)
+            for disc in (5, 8, 12, 24, -3, -4, -8, 13, -7, 28):
+                assert sum_s3(d, h, disc) == closed_sum_s3(d, h, disc), (d, h, disc)
                 checked += 1
     elapsed = time.time() - start
     assert elapsed < 10.0
-    _report(7, "closed-sum identities", elapsed, f"{checked} truncated sums")
+    _report(7, "closed-sum identities", elapsed, f"{checked} exact sums")
 
 
 def test_criterion_8_degenerate_guards():

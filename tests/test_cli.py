@@ -56,6 +56,7 @@ class TestExitCodes:
         assert main(["oracle", "-g", "2", "-d", "2", "--vmax", "8"]) == 0
         out = capsys.readouterr().out
         assert "partial    = 45/64" in out
+        assert "exact      = 17/24  (== delta, every v)" in out
         assert "bracket    = PASS" in out
 
     def test_oracle_fail_is_one(self, monkeypatch, capsys):
@@ -63,6 +64,14 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "density", lambda g, d: SimpleNamespace(delta=Fraction(1)))
         assert main(["oracle", "-g", "2", "-d", "2", "--vmax", "8", "--format", "json"]) == 1
         assert json.loads(capsys.readouterr().out)["bracket"] == "FAIL"
+
+    def test_oracle_exact_mismatch_is_one(self, monkeypatch, capsys):
+        # an exact series sum off the closed form fails even inside the bracket
+        exact = cli.series_exact
+        monkeypatch.setattr(cli, "series_exact", lambda g, d: exact(g, d) + 1)
+        assert main(["oracle", "-g", "2", "-d", "2", "--vmax", "8", "--format", "json"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert (out["bracket"], out["exact"], out["delta"]) == ("PASS", "41/24", "17/24")
 
     def test_bad_threads_env(self):
         # a garbage ORDDIV_THREADS is a usage error of census alone

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from support import reference_series, reference_truncated_sum
+from hypothesis import assume, given, strategies as st
+from support import reference_series
 
 from orddiv import kummer
 from orddiv.arith import divisors_of_dinfty, euler_phi, squarefree_divisors, valuation
@@ -18,12 +19,12 @@ from orddiv.kummer import (
     closed_sum_s3,
     degree,
     degree_params,
-    s_sum_tail_bound,
+    series_exact,
     series_partial,
+    sum_s1,
+    sum_s2,
+    sum_s3,
     tail_bound,
-    truncated_sum_s1,
-    truncated_sum_s2,
-    truncated_sum_s3,
 )
 
 # spans positive/negative g, h odd / v2(h)=1 / v2(h)>=2, disc = 4, 0, odd mod 8,
@@ -222,28 +223,23 @@ class TestSeriesAgainstDefinition:
             assert len(calls) <= n_alphas * n_classes < n_alphas * len(vs), (g, d)
 
 
-class TestTruncatedSumsAgainstDefinition:
-    def test_equal_reference_sums(self):
-        # each truncated sum reuses a block numerator across the v with one
-        # gcd(v, period); the literal sums pin S1's period h (h > 1), S2's
-        # 2^(v2(h)+k) and S3's 2^(v2(d)+1), which need v2(v) past the cap
-        def v2(n):
-            return (n & -n).bit_length() - 1
+class TestSeriesExact:
+    # the fixture and equality bases, and high powers: h = 10, 9 and 12 of either sign
+    BASES = sorted(set(EQUALITY_BASES + FIXTURE_BASES + (5**10, -(7**9), 2**12, -(2**12))))
 
-        for d in range(1, 61):
-            for h in range(1, 25):
-                for vmax in (1, 7, 2**6):
-                    def pin(got, keep, *case):
-                        assert got == reference_truncated_sum(d, h, vmax, keep), (d, h, vmax, *case)
+    def test_equals_closed_form(self):
+        # the degree series over every v | d^inf, one Kummer degree per term,
+        # against the paper's epsilon1 S(d, h): two derivations, one Fraction
+        for g in self.BASES:
+            for d in range(1, 201):
+                assert series_exact(g, d) == density(g, d).delta, (g, d)
 
-                    pin(truncated_sum_s1(d, h, vmax), lambda v, alpha: True)
-                    for k in range(5):
-                        pin(truncated_sum_s2(d, h, k, vmax), lambda v, alpha: v2(v) >= v2(h) + k, k)
-                    for disc in (-3, -4, 5, 8, 12, -24):
-                        def halves(v, alpha):
-                            return d * v % math.lcm(2 ** (v2(h * d // alpha) + 1), abs(disc)) == 0
-
-                        pin(truncated_sum_s3(d, h, disc, vmax), halves, disc)
+    @given(st.integers(1, 50), st.integers(1, 50), st.integers(1, 12), st.sampled_from((1, -1)),
+           st.integers(1, 200))
+    def test_equals_closed_form_on_rational_powers(self, a, b, h, sign, d):
+        assume(a != b)
+        g = sign * Fraction(a, b) ** h
+        assert series_exact(g, d) == density(g, d).delta
 
 
 class TestTailBound:
@@ -273,13 +269,6 @@ class TestTailBound:
                     cut = c * sum(w for v, w in inverse_squares if v > vmax)
                     assert cut <= tail_bound(g, d, vmax) <= cut + c / top, (g, d, vmax)
 
-    def test_s_sum_bound_is_exact_remainder(self):
-        top = 10**7
-        for d, h, vmax in ((12, 2, 8), (30, 1, 2**10)):
-            c = Fraction(len(squarefree_divisors(d)) * h, euler_phi(d))
-            cut = c * sum(Fraction(1, v * v) for v in divisors_of_dinfty(d, top) if v > vmax)
-            assert cut <= s_sum_tail_bound(d, h, vmax) <= cut + c / top, (d, h, vmax)
-
     def test_never_undershoots(self):
         # bound at vmax must dominate what later partial sums pick up
         for g, d in ((2, 2), (-9, 6), (3, 12), (-2, 6)):
@@ -299,28 +288,24 @@ class TestClosedSums:
         with pytest.raises(ValueError):
             closed_sum_s3(2, 1, 6)
         with pytest.raises(ValueError):
-            truncated_sum_s3(2, 1, 20, 64)
+            sum_s3(2, 1, 20)
 
     def test_truncations_converge_examples(self):
-        tol = Fraction(1, 2**20)
-        assert abs(truncated_sum_s1(2, 1, 2**12) - Fraction(2, 3)) < tol
-        assert abs(truncated_sum_s2(2, 1, 1, 2**12) - Fraction(1, 6)) < tol
-        assert abs(truncated_sum_s3(2, 1, 8, 2**12) - Fraction(1, 24)) < tol
+        # the exact sums are the limits the truncations converge to
+        assert sum_s1(2, 1) == Fraction(2, 3)
+        assert sum_s2(2, 1, 1) == Fraction(1, 6)
+        assert sum_s3(2, 1, 8) == Fraction(1, 24)
 
     def test_negative_discriminants(self):
         # signed fundamental discriminants go through the same closed form
         for disc in (-3, -4, -8, -24):
             for d in (2, 4, 6, 12):
                 for h in (1, 2):
-                    closed = closed_sum_s3(d, h, disc)
-                    trunc = truncated_sum_s3(d, h, disc, 2**10)
-                    assert abs(trunc - closed) <= s_sum_tail_bound(d, h, 2**10)
+                    assert sum_s3(d, h, disc) == closed_sum_s3(d, h, disc), (disc, d, h)
 
     def test_s1_matches_series_with_generic_degree(self):
         # S1 is the series with phi(dv)*alpha*v/(alpha*v, h) in place of the
         # true degree; for d odd and squarefree g both coincide identically
         for g, d in ((7, 3), (5, 9), (11, 5)):
-            dec = decompose(g)
-            assert dec.h == 1
-            est = series_partial(g, d, 2**10)
-            assert truncated_sum_s1(d, 1, 2**10) == est.partial
+            assert decompose(g).h == 1
+            assert sum_s1(d, 1) == series_exact(g, d)
