@@ -3,16 +3,19 @@
 The hot path is a segmented, odd-only sieve with vectorized modular
 exponentiation over whole segments of primes (int64 products stay below
 2^63 for x up to 3e9, which covers the full published-table scale).  The
-sieve strikes the base primes that cross a segment only a few times in one
-scatter.  The exponentiation is a 3-bit-window ladder run in cache-sized
-blocks, and every bulk exponentiation is `_powmod_vec`.
+sieve strikes the base primes that cross a segment many times one
+cache-sized block of its mask at a time, and those that cross it only a few
+times in one scatter.  The exponentiation is a 3-bit-window ladder run in
+cache-sized blocks, and every bulk exponentiation is `_powmod_vec`.
 Divisibility of the order by d is decided per prime power l^a || d from the
 l-free part of p - 1 and a single power test, never from a full order
 computation.  Each stage returns the primes that pass it: each l^a || d, in
 ascending l, narrows the array the next reads, so the odd-l ladders see only
-the 2-part's survivors.  For l = 2 the ladder runs only at the residues of g
-with 2^(a+1) | p - 1: with e = v2(p - 1) >= a, a non-residue has
-v2(ord_p g) = e, a hit, and a residue with e = a has v2(ord_p g) < a, a miss.
+the 2-part's survivors.  A stage narrows its parallel arrays (the primes
+and g mod p) by taking one index into each.  For l = 2 the ladder runs only
+at the residues of g with 2^(a+1) | p - 1: with e = v2(p - 1) >= a, a
+non-residue has v2(ord_p g) = e, a hit, and a residue with e = a has
+v2(ord_p g) < a, a miss.
 The character (g/p) is the Jacobi symbol (g1 g2/p), periodic in p with period
 4|g1 g2|; up to a period of _POWMOD_BLOCK each run reads it from a table
 filled by Euler's criterion (a power test) at one prime of every class it
@@ -77,9 +80,15 @@ _POWMOD_BLOCK = 1 << 15
 # A base prime that crosses a sieve segment fewer times than this is struck
 # in _primes_in_segment's one scatter rather than by its own strided store.
 _SCATTER_CROSSINGS = 64
+# _primes_in_segment strikes its dense base primes one block of this many
+# mask slots at a time: a 1 MiB block of the bool mask, sized to L2 like
+# _POWMOD_BLOCK's table.
+_SIEVE_BLOCK = 1 << 20
 # The widest range one driver task sieves when its segments are
-# narrower: CensusConfig's default segment size, so a task's working set
-# (~50 MiB) is never more than one default segment's.
+# narrower: CensusConfig's default segment size, so a task's memory (at most
+# 30 MiB for a table row's 10^7-wide run, measured) is never more than one
+# default segment's.  Its passes stay in cache: the sieve strikes 1 MiB of
+# mask and each ladder block holds 2 MiB of powers at a time.
 _TASK_SPAN = 10_000_000
 
 
@@ -184,8 +193,10 @@ def _primes_in_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     Slot i of the mask stands for lo + 2i, and an odd prime p crosses off
     every p-th slot from that of its first odd multiple >= max(p^2, lo).  A
     prime crossing the segment at least _SCATTER_CROSSINGS times strikes its
-    slots with one strided store; all sparser primes strike theirs together,
-    in one scatter of their concatenated runs.
+    slots one _SIEVE_BLOCK of the mask at a time, with one strided store per
+    block, so each block is struck by every such prime while it is in cache;
+    each prime's next slot carries over to the next block.  All sparser
+    primes strike theirs together, in one scatter of their concatenated runs.
     """
     lo = max(lo, 3)
     if lo % 2 == 0:
@@ -197,8 +208,13 @@ def _primes_in_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     start = np.maximum(odd * odd, -(-lo // odd) * odd)
     first = (start + odd * (start % 2 == 0) - lo) // 2
     dense = odd <= mask.size // _SCATTER_CROSSINGS
-    for p, i in zip(odd[dense].tolist(), first[dense].tolist()):
-        mask[i::p] = False
+    step, slot = odd[dense], first[dense]
+    for b in range(0, mask.size, _SIEVE_BLOCK):
+        block = mask[b : b + _SIEVE_BLOCK]
+        for p, i in zip(step.tolist(), (slot - b).tolist()):
+            block[i::p] = False
+        # each prime's first slot at or past the block's end
+        slot += np.maximum(0, -(-(b + block.size - slot) // step)) * step
     step, slot = odd[~dense], first[~dense]
     runs = np.maximum(0, (mask.size - 1 - slot) // step + 1)
     # the k-th crossing of a run, k counted from the run's own start, is slot + k * step
@@ -309,49 +325,60 @@ def _prefilter(primes: np.ndarray, d: int) -> np.ndarray:
     and enters no arithmetic, so it need not fit in int64."""
     if not primes.size or d >= int(primes[-1]):
         return primes[:0]
-    return primes[(primes - 1) % d == 0]
+    return primes[primes % d == 1 % d]  # 1 % d: for d = 1 every p counts
 
 
-def _character_table(gbar: np.ndarray, ps: np.ndarray, period: int) -> np.ndarray:
-    """(g/p) by residue class of p mod period, as int8 1 or -1 at each class ps meets.
+def _character(gbar: np.ndarray, ps: np.ndarray, period: int) -> np.ndarray:
+    """(g/p) at each p in ps as int8 1 or -1, read from a table of the classes mod period.
 
-    Euler's criterion, g^((p-1)/2) = (g/p), reads each class at whichever of
-    its primes the scatter keeps: one ladder over the classes met.
+    Euler's criterion, g^((p-1)/2) = (g/p), fills each class ps meets at
+    whichever of its primes the scatter keeps: one ladder over the classes met.
     """
+    cls = ps % period
     at = np.full(period, -1, dtype=np.int64)
-    at[ps % period] = np.arange(ps.size)
+    at[cls] = np.arange(ps.size)
     classes = np.flatnonzero(at >= 0)
     reps = ps[at[classes]]
     table = np.zeros(period, dtype=np.int8)
     table[classes] = np.where(_powmod_vec(gbar[at[classes]], (reps - 1) // 2, reps) == 1, 1, -1)
-    return table
+    return table[cls]
+
+
+def _two_part_test(gbar: np.ndarray, ps: np.ndarray, a: int, period: int) -> np.ndarray:
+    """Whether 2^a | ord_p(g) at each p in ps, all with 2^a | p - 1, mostly from (g/p).
+
+    With e = v2(p - 1) >= a there are three cases:
+      * g is a non-residue mod p exactly when g^((p-1)/2) != 1, that is when
+        v2(ord_p g) = e >= a: a hit;
+      * a residue has v2(ord_p g) <= e - 1, so with e = a it is a miss;
+      * only a residue with 2^(a+1) | p - 1 takes the ladder.
+    """
+    chi = _character(gbar, ps, period)
+    keep = chi == -1
+    todo = np.flatnonzero((chi == 1) & ((ps & ((2 << a) - 1)) == 1))  # 2^(a+1) | p - 1
+    keep[todo] = _power_test(gbar.take(todo), ps.take(todo), 2, a)
+    return keep
 
 
 def _order_hits(gbar: np.ndarray, ps: np.ndarray, d_factors, g1g2: int) -> np.ndarray:
     """The primes of ps at which d | ord_p(g), all with d | p - 1, from gbar = g mod p.
 
     Each l^a || d, in ascending l, keeps the primes that pass its test, so an
-    odd-l ladder reads only the 2-part's survivors.  Each test is one
-    _power_test, except that for l = 2 most primes need no ladder.  With
-    e = v2(p - 1) >= a there are three cases:
-      * g is a non-residue mod p exactly when g^((p-1)/2) != 1, that is when
-        v2(ord_p g) = e >= a: a hit;
-      * a residue has v2(ord_p g) <= e - 1, so with e = a it is a miss;
-      * only a residue with 2^(a+1) | p - 1 takes the ladder.
-    The character (g/p) = (g1 g2^(-1)/p) = (g1 g2/p) is a Jacobi symbol, which
-    by quadratic reciprocity depends on the odd p only through p mod 4|g1 g2|.
-    When that period is at most _POWMOD_BLOCK, (g/p) is read from
-    _character_table; for a longer period every prime takes the ladder.
+    odd-l ladder reads only the 2-part's survivors; each narrowing takes one
+    index into both arrays.  Each test is one _power_test, except that for
+    l = 2 most primes need no ladder (_two_part_test).  The character (g/p) =
+    (g1 g2^(-1)/p) = (g1 g2/p) is a Jacobi symbol, which by quadratic
+    reciprocity depends on the odd p only through p mod 4|g1 g2|.  When that
+    period is at most _POWMOD_BLOCK, (g/p) is read from a table by _character;
+    for a longer period every prime takes the ladder.
     """
     for ell, a in d_factors:
         if ell == 2 and (period := 4 * abs(g1g2)) <= _POWMOD_BLOCK:
-            chi = _character_table(gbar, ps, period)[ps % period]
-            keep = chi == -1
-            todo = (chi == 1) & ((ps & ((2 << a) - 1)) == 1)  # a residue with 2^(a+1) | p - 1
-            keep[todo] = _power_test(gbar[todo], ps[todo], ell, a)
+            passed = _two_part_test(gbar, ps, a, period)
         else:
-            keep = _power_test(gbar, ps, ell, a)
-        ps, gbar = ps[keep], gbar[keep]
+            passed = _power_test(gbar, ps, ell, a)
+        keep = np.flatnonzero(passed)
+        ps, gbar = ps.take(keep), gbar.take(keep)
     return ps
 
 
@@ -596,7 +623,7 @@ def _identity_run(
     rad = math.prod(ells)
     smooth = _smooth_part((ps - 1) // d, ells)
     for v in vs:
-        keep = slice(None) if v == 1 else smooth % v == 0  # v = 1: every prime, no copy
+        keep = slice(None) if v == 1 else np.flatnonzero(smooth % v == 0)  # v = 1: no copy
         sel, base = ps[keep], gbar[keep]
         if not sel.size:
             counts.append(0)

@@ -47,7 +47,9 @@ def decimal_string(q: Fraction, places: int = 8) -> str:
 def _parse_g(text: str) -> RationalBase:
     try:
         return as_base(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:  # its own message is only "Fraction(2, 0)"
+        raise argparse.ArgumentTypeError(f"the denominator of {text!r} is zero") from None
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 

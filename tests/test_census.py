@@ -197,9 +197,8 @@ class TestTwoPartFromCharacter:
         monkeypatch.setattr(census, "_POWMOD_BLOCK", 256)
         g, x, period = 61, 2 * 10**5, 4 * 61
         ps = _prefilter(_unit_primes(3, x, _small_primes(math.isqrt(x)), g), 2)
-        table = census._character_table(_residues(g, 1, ps), ps, period)
+        chi = census._character(_residues(g, 1, ps), ps, period)
         assert np.unique(ps[:256] % period).size < np.unique(ps % period).size
-        chi = table[ps % period]
         assert (chi != 0).all()
         assert chi.tolist() == [1 if is_quad_residue(g, p) else -1 for p in ps.tolist()]
         primes, orders = _orders(g, x)
@@ -276,6 +275,49 @@ class TestSieve:
             assert base[1] <= split < base[base * base <= hi][-1]
             got = _primes_in_segment(lo, hi, base)
             assert got.tolist() == whole[(whole >= lo) & (whole <= hi)].tolist()
+
+    @pytest.mark.parametrize("block, slots", [
+        (4096, 3 * 4096),      # the mask ends on a block edge
+        (4096, 3 * 4096 + 1),  # one slot past one
+        (4096, 3 * 4096 + 1000),  # inside one
+        (4096, 1000),          # narrower than one block
+        (256, 70 * 256 + 17),  # dense primes up to 70 * 256 // 64 > 256 skip whole blocks
+    ])
+    @pytest.mark.parametrize("lo", [1_000_001, 1_000_000])
+    def test_blocked_strikes_at_block_edges(self, monkeypatch, block, slots, lo):
+        monkeypatch.setattr(census, "_SIEVE_BLOCK", block)
+        hi = (lo | 1) + 2 * (slots - 1)  # slot i stands for (lo | 1) + 2i
+        base = _small_primes(math.isqrt(hi))
+        assert base[1] <= slots // _SCATTER_CROSSINGS < base[-1]  # dense and sparse primes
+        whole = _small_primes(hi)
+        assert _primes_in_segment(lo, hi, base).tolist() == whole[whole >= lo].tolist()
+
+    def test_blocked_strikes_near_the_cap_match_is_prime(self, monkeypatch):
+        monkeypatch.setattr(census, "_SIEVE_BLOCK", 4096)
+        lo = _MAX_X_LIMIT - 2 * (2 * 4096 + 5) + 1
+        want = [n for n in range(lo, _MAX_X_LIMIT + 1, 2) if is_prime(n)]
+        assert _primes_in_segment(lo, _MAX_X_LIMIT, _small_primes(math.isqrt(_MAX_X_LIMIT))).tolist() == want
+
+    @pytest.mark.parametrize("width", [10**7, 5 * 10**7])
+    def test_blocked_strikes_equal_one_block(self, monkeypatch, width):
+        # wide segments near 2 * 10^9, as a full-scale run sieves them, struck in
+        # _SIEVE_BLOCK slots and then in one block as wide as the mask
+        lo = 2 * 10**9 + 1
+        base = _small_primes(math.isqrt(lo + width))
+        assert width // 2 > 4 * census._SIEVE_BLOCK  # at least five blocks
+        blocked = _primes_in_segment(lo, lo + width - 1, base)
+        monkeypatch.setattr(census, "_SIEVE_BLOCK", width)
+        assert np.array_equal(blocked, _primes_in_segment(lo, lo + width - 1, base))
+
+    def test_prefilter_keeps_p_one_mod_d(self):
+        primes = _small_primes(10**7)[1:]
+        top = int(primes[-1])
+        for d in (1, 2, 3, 12, 2**20, top, top + 1):
+            want = primes[(primes - 1) % d == 0]
+            assert np.array_equal(_prefilter(primes, d), want), d
+        assert _prefilter(primes, 1).size == primes.size  # d = 1: every prime
+        assert _prefilter(primes, 2**20).tolist() == [7 * 2**20 + 1]
+        assert _prefilter(primes, 2**70).size == 0  # past int64: no arithmetic
 
     def test_unit_filter_reads_only_primes_up_to_g1g2(self, monkeypatch):
         # a prime past |g1 g2| cannot divide it; a g1 g2 past every prime tests them all

@@ -43,6 +43,15 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "outside {-1, 0, 1}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["2/0", "0/0"])
+    def test_zero_denominator_is_one_line(self, text, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["density", "-g", text, "-d", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(f"argument -g: the denominator of {text!r} is zero")
+        assert "Fraction(" not in err
+
     def test_usage_error_on_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
             main(["density", "-g", "2", "-d", "2", "--bogus"])
