@@ -3,10 +3,10 @@
 The hot path is a segmented, odd-only sieve with vectorized modular
 exponentiation over whole segments of primes (int64 products stay below
 2^63 for x up to 3e9, which covers the full published-table scale).  The
-sieve strikes the base primes that cross a segment many times one
-cache-sized block of its mask at a time, and those that cross it only a few
-times in one scatter.  The exponentiation is a 3-bit-window ladder run in
-cache-sized blocks, and every bulk exponentiation is `_powmod_vec`.
+sieve strikes its mask one cache-sized block at a time, every base prime
+striking each block while it is in cache.  The exponentiation is a
+3-bit-window ladder run in cache-sized blocks, and every bulk
+exponentiation is `_powmod_vec`.
 Divisibility of the order by d is decided per prime power l^a || d from the
 l-free part of p - 1 and a single power test, never from a full order
 computation.  Each stage returns the primes that pass it: each l^a || d, in
@@ -77,10 +77,7 @@ _MAX_X_LIMIT = 3_000_000_000
 # a block's 8-row table of int64 powers is 2 MiB.
 _WINDOW_BITS = 3
 _POWMOD_BLOCK = 1 << 15
-# A base prime that crosses a sieve segment fewer times than this is struck
-# in _primes_in_segment's one scatter rather than by its own strided store.
-_SCATTER_CROSSINGS = 64
-# _primes_in_segment strikes its dense base primes one block of this many
+# _primes_in_segment strikes its base primes one block of this many
 # mask slots at a time: a 1 MiB block of the bool mask, sized to L2 like
 # _POWMOD_BLOCK's table.
 _SIEVE_BLOCK = 1 << 20
@@ -191,12 +188,10 @@ def _primes_in_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     """Odd primes in [lo, hi] via an odd-only segmented sieve.
 
     Slot i of the mask stands for lo + 2i, and an odd prime p crosses off
-    every p-th slot from that of its first odd multiple >= max(p^2, lo).  A
-    prime crossing the segment at least _SCATTER_CROSSINGS times strikes its
-    slots one _SIEVE_BLOCK of the mask at a time, with one strided store per
-    block, so each block is struck by every such prime while it is in cache;
-    each prime's next slot carries over to the next block.  All sparser
-    primes strike theirs together, in one scatter of their concatenated runs.
+    every p-th slot from that of its first odd multiple >= max(p^2, lo).  The
+    mask is struck one _SIEVE_BLOCK of slots at a time, with one strided store
+    per prime per block, so each block is struck by every base prime while it
+    is in cache; each prime's next slot carries over to the next block.
     """
     lo = max(lo, 3)
     if lo % 2 == 0:
@@ -206,20 +201,14 @@ def _primes_in_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     mask = np.ones((hi - lo) // 2 + 1, dtype=bool)
     odd = base_primes[(base_primes > 2) & (base_primes * base_primes <= hi)]
     start = np.maximum(odd * odd, -(-lo // odd) * odd)
-    first = (start + odd * (start % 2 == 0) - lo) // 2
-    dense = odd <= mask.size // _SCATTER_CROSSINGS
-    step, slot = odd[dense], first[dense]
+    slot = (start + odd * (start % 2 == 0) - lo) // 2
     for b in range(0, mask.size, _SIEVE_BLOCK):
         block = mask[b : b + _SIEVE_BLOCK]
-        for p, i in zip(step.tolist(), (slot - b).tolist()):
+        for p, i in zip(odd.tolist(), (slot - b).tolist()):
             block[i::p] = False
-        # each prime's first slot at or past the block's end
-        slot += np.maximum(0, -(-(b + block.size - slot) // step)) * step
-    step, slot = odd[~dense], first[~dense]
-    runs = np.maximum(0, (mask.size - 1 - slot) // step + 1)
-    # the k-th crossing of a run, k counted from the run's own start, is slot + k * step
-    k = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
-    mask[np.repeat(slot, runs) + k * np.repeat(step, runs)] = False
+        # each prime's first slot at or past the block's end; a slot already past
+        # it stays put, as stepping it back could land on p itself
+        slot += np.maximum(0, -(-(b + block.size - slot) // odd)) * odd
     return lo + 2 * np.flatnonzero(mask).astype(np.int64)
 
 
@@ -596,23 +585,15 @@ def _two_adic_valuation(y: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return val
 
 
-def _smooth_part(values: np.ndarray, ells: list[int]) -> np.ndarray:
-    """The part of each value made of the primes ells, elementwise (values >= 1)."""
-    rough = values
-    for ell in ells:
-        rough = _strip_vec(rough, ell)
-    return values // rough
-
-
 def _identity_run(
     g: RationalBase, d: int, d_factors, vs: tuple[int, ...], run, considered
 ) -> list[int]:
     """lhs, then each v-block of verify_key_identity's rhs, over one run of segments.
 
-    For v | d^inf, p = 1 (mod dv) exactly when v divides the d-smooth part of
-    (p - 1)/d, which is taken once per run from the primes of d.  A block
-    with no such prime counts 0 and runs no ladder; any other block counts
-    the y = g^((p-1)/(rad v)) of order exactly rad, in 2 + omega(d) ladders.
+    For v | d^inf, p = 1 (mod dv) exactly when v | (p - 1)/d, a quotient
+    taken once per run.  A block with no such prime counts 0 and runs no
+    ladder; any other block counts the y = g^((p-1)/(rad v)) of order exactly
+    rad, in 2 + omega(d) ladders.
     """
     ps = _prefilter(considered, d)
     if not ps.size:  # with no prime left, d may be past int64 (see _prefilter)
@@ -621,9 +602,9 @@ def _identity_run(
     counts = [_order_hits(gbar, ps, d_factors, g.g1 * g.g2).size]
     ells = [ell for ell, _ in d_factors]
     rad = math.prod(ells)
-    smooth = _smooth_part((ps - 1) // d, ells)
+    quot = (ps - 1) // d
     for v in vs:
-        keep = slice(None) if v == 1 else np.flatnonzero(smooth % v == 0)  # v = 1: no copy
+        keep = slice(None) if v == 1 else np.flatnonzero(quot % v == 0)  # v = 1: no copy
         sel, base = ps[keep], gbar[keep]
         if not sel.size:
             counts.append(0)

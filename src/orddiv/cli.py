@@ -95,7 +95,7 @@ def _density_command(args) -> int:
     payload = {
         "g": str(dec.base),
         "d": report.d,
-        "g0": f"{dec.g0_num}/{dec.g0_den}" if dec.g0_den != 1 else str(dec.g0_num),
+        "g0": str(dec.g0),
         "h": dec.h,
         "disc": dec.disc,
         "case_label": report.case_label,
@@ -126,7 +126,7 @@ def _table_command(args) -> int:
         rows.append(
             {
                 "g": row.g,
-                "g0": f"{row.g0_num}/{row.g0_den}" if row.g0_den != 1 else str(row.g0_num),
+                "g0": str(Fraction(row.g0_num, row.g0_den)),
                 "h": row.h,
                 "disc": row.disc,
                 "d": row.d,

@@ -130,7 +130,7 @@ def series_partial(g: RationalBase | int | str | Fraction, d: int, vmax: int) ->
     dec = decompose(as_base(g))
     vs = divisors_of_dinfty(d, vmax)
     unit, nums = _block_numerators(d, dec.h, vs, _series_eps(d, dec), _two_adic_period(d, dec.h))
-    squares = _inverse_squares(vs)
+    den, weights = _inverse_squares(vs)
     blocks: list[tuple[int, Fraction]] = []
     for v, num in zip(vs, nums):
         if num < 0:
@@ -139,8 +139,8 @@ def series_partial(g: RationalBase | int | str | Fraction, d: int, vmax: int) ->
     return SeriesEstimate(
         d=d,
         vmax=vmax,
-        partial=_sum_over_squares(squares, nums, unit),
-        tail_bound=_series_tail(d, squares, dec.h),
+        partial=Fraction(sum(num * w for w, num in zip(weights, nums)), unit * den),
+        tail_bound=_series_tail(d, (den, weights), dec.h),
         blocks=tuple(blocks),
     )
 
@@ -243,12 +243,6 @@ def _inverse_squares(vs: list[int]) -> tuple[int, list[int]]:
     """(den, weights) with 1/vs[i]^2 = weights[i] / den, over den = lcm(vs)^2."""
     lcm = math.lcm(*vs)
     return lcm * lcm, [(lcm // v) ** 2 for v in vs]
-
-
-def _sum_over_squares(squares: tuple[int, list[int]], nums: list[int], unit: int = 1) -> Fraction:
-    """The sum of nums[i] / (unit * vs[i]^2) as one Fraction, for squares = _inverse_squares(vs)."""
-    den, weights = squares
-    return Fraction(sum(num * w for w, num in zip(weights, nums)), unit * den)
 
 
 def _series_tail(d: int, squares: tuple[int, list[int]], h: int) -> Fraction:

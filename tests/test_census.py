@@ -19,7 +19,6 @@ from orddiv.base import RationalBase, as_base
 from orddiv.census import (
     _MAX_X_LIMIT,
     _POWMOD_BLOCK,
-    _SCATTER_CROSSINGS,
     CensusConfig,
     CheckpointError,
     _order_hits,
@@ -264,31 +263,33 @@ class TestSieve:
             assert _primes_in_segment(lo, hi, base).tolist() == want
 
     @pytest.mark.parametrize("width", [10**4 + 1, 10**5, 2 * 10**5 + 7])
-    def test_segments_on_both_sides_of_the_scatter_split(self, width):
-        # strided stores for base primes up to mask size / _SCATTER_CROSSINGS, one scatter above
+    def test_narrow_segments_match_simple_sieve(self, width):
+        # masks of 5 * 10^3 to 10^5 slots, which the largest base primes (up to 3162)
+        # cross only a few times
         x = 10**7
         base = _small_primes(math.isqrt(x))
         whole = _small_primes(x)
         for lo in (x - width + 1, 7_654_321, x // 2):
             hi = lo + width - 1
-            split = ((hi - lo) // 2 + 1) // _SCATTER_CROSSINGS
-            assert base[1] <= split < base[base * base <= hi][-1]
             got = _primes_in_segment(lo, hi, base)
             assert got.tolist() == whole[(whole >= lo) & (whole <= hi)].tolist()
 
-    @pytest.mark.parametrize("block, slots", [
-        (4096, 3 * 4096),      # the mask ends on a block edge
-        (4096, 3 * 4096 + 1),  # one slot past one
-        (4096, 3 * 4096 + 1000),  # inside one
-        (4096, 1000),          # narrower than one block
-        (256, 70 * 256 + 17),  # dense primes up to 70 * 256 // 64 > 256 skip whole blocks
+    @pytest.mark.parametrize("lo, block, slots", [
+        *[(lo, block, slots) for lo in (1_000_001, 1_000_000) for block, slots in (
+            (4096, 3 * 4096),      # the mask ends on a block edge
+            (4096, 3 * 4096 + 1),  # one slot past one
+            (4096, 3 * 4096 + 1000),  # inside one
+            (4096, 1000),          # narrower than one block
+            (256, 70 * 256 + 17),  # base primes past 256 skip whole blocks
+        )],
+        # each base prime p >= 521 is in the segment, past the first block, and its
+        # first strike p^2 further on: its carried slot must not step back onto p
+        (3, 256, (521**2 - 3) // 2 + 1),
     ])
-    @pytest.mark.parametrize("lo", [1_000_001, 1_000_000])
-    def test_blocked_strikes_at_block_edges(self, monkeypatch, block, slots, lo):
+    def test_blocked_strikes_at_block_edges(self, monkeypatch, lo, block, slots):
         monkeypatch.setattr(census, "_SIEVE_BLOCK", block)
         hi = (lo | 1) + 2 * (slots - 1)  # slot i stands for (lo | 1) + 2i
         base = _small_primes(math.isqrt(hi))
-        assert base[1] <= slots // _SCATTER_CROSSINGS < base[-1]  # dense and sparse primes
         whole = _small_primes(hi)
         assert _primes_in_segment(lo, hi, base).tolist() == whole[whole >= lo].tolist()
 
@@ -370,18 +371,20 @@ class TestRunCensus:
         assert result.considered == 22
 
     def test_deterministic_across_schedules(self):
-        reference = None
-        for workers in (1, 4, 8):
-            for segment_size in (10**4, 10**6):
-                cfg = CensusConfig(
-                    RationalBase(-9, 1), 6, 200_000,
-                    segment_size=segment_size, worker_count=workers,
-                )
-                result = run_census(cfg)
-                totals = (result.counted, result.considered)
-                if reference is None:
-                    reference = totals
-                assert totals == reference
+        # (x, segment_size, worker_count); at 10^7 + 1001 in 10^7-wide segments the
+        # last segment, and so the last run, is 999 numbers wide
+        schedules = [(200_000, size, workers) for workers in (1, 4, 8) for size in (10**4, 10**6)]
+        schedules += [(10**7 + 1001, 10**7 + 1001, 1), (10**7 + 1001, 10**7, 1)]
+        reference = {}
+        for x, segment_size, workers in schedules:
+            cfg = CensusConfig(
+                RationalBase(-9, 1), 6, x,
+                segment_size=segment_size, worker_count=workers,
+            )
+            result = run_census(cfg)
+            totals = (result.counted, result.considered)
+            assert reference.setdefault(x, totals) == totals, (x, segment_size, workers)
+        assert result.segments[-1].start == 10**7 + 3
 
     def test_pool_capped_at_pending_segments(self, monkeypatch):
         # the pool starts min(worker_count, runs, CPUs) processes; the runs and counts stay put
