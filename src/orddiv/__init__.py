@@ -25,7 +25,6 @@ from .base import (
     RationalBase,
     as_base,
     decompose,
-    discriminant_of_sqrt,
     fundamental_discriminant,
     gamma_exponent,
 )
@@ -42,7 +41,6 @@ from .density import (
     DensityReport,
     density,
     density_by_transfer,
-    epsilon1,
     epsilon_table,
     s_factor,
 )

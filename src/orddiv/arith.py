@@ -23,7 +23,6 @@ __all__ = [
     "gcd_with_dinfty",
     "divisors_of_dinfty",
     "squarefree_divisors",
-    "squarefree_part",
 ]
 
 # Trial division handles everything below this; larger cofactors go to
@@ -234,9 +233,3 @@ def squarefree_divisors(d: int) -> list[tuple[int, int]]:
         pairs += [(a * p, -mu) for a, mu in pairs]
     return sorted(pairs)
 
-
-def squarefree_part(n: int) -> int:
-    """The squarefree k with n = k * m^2 (so k = 1 exactly for squares)."""
-    if n < 1:
-        raise ValueError("squarefree_part requires n >= 1")
-    return math.prod(p for p, e in _factorize_cached(n).factors if e % 2 == 1)

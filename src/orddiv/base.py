@@ -11,13 +11,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factorize, squarefree_part, valuation
+from .arith import factorize, valuation
 
 __all__ = [
     "RationalBase",
     "BaseDecomposition",
     "decompose",
-    "discriminant_of_sqrt",
     "fundamental_discriminant",
     "is_fundamental_discriminant",
     "gamma_exponent",
@@ -86,36 +85,22 @@ class BaseDecomposition:
 
 
 def decompose(base: RationalBase | int | str | Fraction) -> BaseDecomposition:
-    """Split g into sign * g0^h with h maximal and attach the discriminant."""
+    """Split g into sign * g0^h with h maximal and attach the discriminant.
+
+    |g1| and g2 are each factored once; g0 and its discriminant are read from
+    those factors, as g0 has the exponents e // h.
+    """
     base = as_base(base)
-    num_f = factorize(abs(base.g1))
-    den_f = factorize(base.g2)
-    exponents = [e for _, e in num_f.factors] + [e for _, e in den_f.factors]
-    h = math.gcd(*exponents)
-    g0_num = math.prod(p ** (e // h) for p, e in num_f.factors)
-    g0_den = math.prod(p ** (e // h) for p, e in den_f.factors)
+    num, den = factorize(abs(base.g1)).factors, factorize(base.g2).factors
+    h = math.gcd(*(e for _, e in num + den))
     return BaseDecomposition(
         base=base,
         sign=base.sign,
-        g0_num=g0_num,
-        g0_den=g0_den,
+        g0_num=math.prod(p ** (e // h) for p, e in num),
+        g0_den=math.prod(p ** (e // h) for p, e in den),
         h=h,
-        disc=discriminant_of_sqrt(g0_num, g0_den),
+        disc=_discriminant(num + den, h, 1),
     )
-
-
-def discriminant_of_sqrt(g0_num: int, g0_den: int) -> int:
-    """Fundamental discriminant of Q(sqrt(g0)) for a positive reduced g0.
-
-    Q(sqrt(a/b)) = Q(sqrt(ab)), so the discriminant is determined by the
-    squarefree part k of g0_num * g0_den: k itself when k = 1 (mod 4),
-    else 4k.
-    """
-    if g0_num < 1 or g0_den < 1:
-        raise ValueError("discriminant_of_sqrt requires a positive rational")
-    if math.gcd(g0_num, g0_den) != 1:
-        raise ValueError("g0 must be reduced")
-    return fundamental_discriminant(Fraction(g0_num, g0_den))
 
 
 def fundamental_discriminant(value: Fraction | int) -> int:
@@ -123,9 +108,18 @@ def fundamental_discriminant(value: Fraction | int) -> int:
     q = Fraction(value)
     if q == 0:
         raise ValueError("discriminant of Q(sqrt(0)) is undefined")
-    k = squarefree_part(abs(q.numerator)) * squarefree_part(q.denominator)
-    if q < 0:
-        k = -k
+    factors = factorize(abs(q.numerator)).factors + factorize(q.denominator).factors
+    return _discriminant(factors, 1, -1 if q < 0 else 1)
+
+
+def _discriminant(factors: tuple[tuple[int, int], ...], h: int, sign: int) -> int:
+    """Fundamental discriminant of Q(sqrt(sign * prod p^(e // h))) over the (p, e) factors.
+
+    Q(sqrt(a/b)) = Q(sqrt(ab)), so the field is fixed by the squarefree kernel
+    k, the signed product of the p whose e // h is odd: the discriminant is k
+    itself when k = 1 (mod 4), else 4k.
+    """
+    k = sign * math.prod(p for p, e in factors if e // h % 2)
     if k == 1:
         raise ValueError("g is a perfect square; the field collapses to Q")
     return k if k % 4 == 1 else 4 * k

@@ -202,6 +202,9 @@ def _primes_in_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     odd = base_primes[(base_primes > 2) & (base_primes * base_primes <= hi)]
     start = np.maximum(odd * odd, -(-lo // odd) * odd)
     slot = (start + odd * (start % 2 == 0) - lo) // 2
+    # a prime whose first slot is past the mask strikes nothing (most of them on a narrow run)
+    inside = slot < mask.size
+    odd, slot = odd[inside], slot[inside]
     for b in range(0, mask.size, _SIEVE_BLOCK):
         block = mask[b : b + _SIEVE_BLOCK]
         for p, i in zip(odd.tolist(), (slot - b).tolist()):

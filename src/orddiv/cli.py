@@ -32,16 +32,16 @@ from .tables import FOOTNOTES, table_rows
 __all__ = ["main", "decimal_string"]
 
 
-def decimal_string(q: Fraction, places: int = 8) -> str:
-    """Exact decimal rendering of a rational, round-half-even."""
+def decimal_string(q: Fraction) -> str:
+    """Exact decimal rendering of a rational to 8 places, round-half-even."""
     sign = "-" if q < 0 else ""
     q = abs(q)
-    scale = 10**places
+    scale = 10**8
     n, r = divmod(q.numerator * scale, q.denominator)
     if 2 * r > q.denominator or (2 * r == q.denominator and n % 2 == 1):
         n += 1
     whole, frac = divmod(n, scale)
-    return f"{sign}{whole}.{frac:0{places}d}"
+    return f"{sign}{whole}.{frac:08d}"
 
 
 def _parse_g(text: str) -> RationalBase:

@@ -22,7 +22,6 @@ __all__ = [
     "DensityReport",
     "s_factor",
     "epsilon_table",
-    "epsilon1",
     "density",
     "density_by_transfer",
 ]
@@ -101,12 +100,6 @@ def _epsilon1_parts(
     gamma = gamma_exponent(disc, d, h)
     # the correction for |g|, so always the positive-sign table row
     return 1 + epsilon_table(1, gamma), "4|d-disc", gamma
-
-
-def epsilon1(decomposition: BaseDecomposition, d: int) -> tuple[Fraction, str]:
-    """Rational correction factor epsilon1 and its case label."""
-    eps, label, _ = _epsilon1_parts(decomposition, d)
-    return eps, label
 
 
 def density(g: RationalBase | int | str | Fraction, d: int) -> DensityReport:

@@ -1,11 +1,14 @@
+import inspect
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from orddiv import arith
 from orddiv.arith import (
     Factorization,
     divisors_of_dinfty,
@@ -46,6 +49,28 @@ class TestFactorize:
         # both factors above the trial-division limit
         p, q = 1_000_003, 1_000_033
         assert as_dict(factorize(p * q)) == {p: 1, q: 1}
+
+    def test_pollard_brent_backtracks_when_a_batch_gcd_hits_n(self):
+        # with c = 1 the batched product for this n reaches gcd n, so the factor
+        # is recovered by the step-by-step backtrack from the saved ys
+        p, q = 1_000_003, 1_000_133
+        lines, first = inspect.getsourcelines(arith._pollard_brent)
+        backtrack = first + next(i for i, line in enumerate(lines) if "ys = (ys * ys + c) % n" in line)
+        ran = set()
+
+        def local(frame, event, arg):
+            if event == "line":
+                ran.add((frame.f_lineno, frame.f_locals.get("c")))
+            return local
+
+        outer = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: local if frame.f_code is arith._pollard_brent.__code__ else None)
+        try:
+            factors = factorize(p * q)
+        finally:
+            sys.settrace(outer)
+        assert as_dict(factors) == {p: 1, q: 1}
+        assert (backtrack, 1) in ran
 
     def test_deterministic(self):
         n = 1_000_003 * 1_000_033 * 17

@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from orddiv import arith, base as base_module
 from orddiv.arith import factorize, valuation
 from orddiv.base import (
     RationalBase,
     as_base,
     decompose,
-    discriminant_of_sqrt,
     fundamental_discriminant,
     gamma_exponent,
     is_fundamental_discriminant,
@@ -77,24 +77,40 @@ class TestDecompose:
             for prime, _ in factorize(dec.h).factors:
                 assert all(e % prime == 0 for e in exps)
 
+    @pytest.mark.parametrize("g", [360, Fraction(-45, 8), -Fraction(12, 35) ** 6])
+    def test_factors_each_part_of_g_once(self, g, monkeypatch):
+        # the discriminant is read from the factors of |g1| and g2, not from a
+        # second factorization of g0
+        calls = []
+
+        def recorder(real):
+            return lambda n: calls.append(n) or real(n)
+
+        arith._factorize_cached.cache_clear()
+        monkeypatch.setattr(arith, "factorize", recorder(arith.factorize))
+        monkeypatch.setattr(base_module, "factorize", recorder(base_module.factorize))
+        dec = decompose(g)
+        assert calls == [abs(dec.base.g1), dec.base.g2]
+        assert dec.disc == fundamental_discriminant(dec.g0)
+
 
 class TestDiscriminant:
     def test_examples(self):
-        assert discriminant_of_sqrt(2, 1) == 8
-        assert discriminant_of_sqrt(3, 1) == 12
-        assert discriminant_of_sqrt(2, 3) == 24
+        assert fundamental_discriminant(2) == 8
+        assert fundamental_discriminant(3) == 12
+        assert fundamental_discriminant(Fraction(2, 3)) == 24
 
     def test_square_factors_collapse(self):
         # Q(sqrt(12)) = Q(sqrt(3)) and Q(sqrt(18)) = Q(sqrt(2))
-        assert discriminant_of_sqrt(12, 1) == 12
-        assert discriminant_of_sqrt(18, 1) == 8
-        assert discriminant_of_sqrt(45, 8) == 40
+        assert fundamental_discriminant(12) == 12
+        assert fundamental_discriminant(18) == 8
+        assert fundamental_discriminant(Fraction(45, 8)) == 40
 
     def test_rejects_squares(self):
         with pytest.raises(ValueError):
-            discriminant_of_sqrt(4, 1)
+            fundamental_discriminant(4)
         with pytest.raises(ValueError):
-            discriminant_of_sqrt(9, 4)
+            fundamental_discriminant(Fraction(9, 4))
 
     def test_fundamental_shape(self):
         rng = random.Random(5)
@@ -105,7 +121,7 @@ class TestDiscriminant:
             num, den = num // g, den // g
             if Fraction(num, den) == 1 or _is_square_rational(num, den):
                 continue
-            disc = discriminant_of_sqrt(num, den)
+            disc = fundamental_discriminant(Fraction(num, den))
             assert disc % 4 in (0, 1)
             assert is_fundamental_discriminant(disc)
             odd_part = disc >> valuation(2, disc)
@@ -116,7 +132,7 @@ class TestDiscriminant:
         for n in (2, 3, 5, 6, 7, 10, 12, 18, 50, 99, 4802):
             kernel = int(sympy.ntheory.factor_.core(n))
             expected = kernel if kernel % 4 == 1 else 4 * kernel
-            assert discriminant_of_sqrt(n, 1) == expected
+            assert fundamental_discriminant(n) == expected
 
     def test_signed_variant(self):
         assert fundamental_discriminant(Fraction(-1, 2)) == -8

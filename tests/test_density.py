@@ -8,7 +8,6 @@ from orddiv.base import decompose, fundamental_discriminant
 from orddiv.density import (
     density,
     density_by_transfer,
-    epsilon1,
     epsilon_table,
     s_factor,
 )
@@ -54,9 +53,11 @@ class TestEpsilonTable:
 
 class TestEpsilon1:
     def test_examples(self):
-        assert epsilon1(decompose(2), 2) == (Fraction(17, 16), "2||d-disc")
-        assert epsilon1(decompose(-4), 2) == (Fraction(2), "2||d-disc")
-        assert epsilon1(decompose(3), 11) == (Fraction(1), "odd-d")
+        for g, d, eps, label in ((2, 2, Fraction(17, 16), "2||d-disc"),
+                                 (-4, 2, Fraction(2), "2||d-disc"),
+                                 (3, 11, Fraction(1), "odd-d")):
+            report = density(g, d)
+            assert (report.epsilon1, report.case_label) == (eps, label)
 
 
 class TestDensity:
