@@ -16,7 +16,6 @@ from .arith import (
     factorize,
     gcd_with_dinfty,
     is_prime,
-    mobius,
     squarefree_divisors,
     valuation,
 )

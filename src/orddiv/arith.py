@@ -1,8 +1,8 @@
 """Exact number-theoretic primitives shared by every other module.
 
 All densities and correction factors downstream are exact rationals; this
-module supplies the integer side (factorization, Mobius, totient, p-adic
-valuations) plus the divisor enumerations the series and census code need.
+module supplies the integer side (factorization, totient, p-adic valuations)
+plus the divisor enumerations the series and census code need.
 Rationals are carried by ``fractions.Fraction`` throughout the package.
 """
 
@@ -17,7 +17,6 @@ __all__ = [
     "Factorization",
     "is_prime",
     "factorize",
-    "mobius",
     "euler_phi",
     "valuation",
     "gcd_with_dinfty",
@@ -112,11 +111,6 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
     @property
-    def omega(self) -> int:
-        """Number of distinct prime factors."""
-        return len(self.factors)
-
-    @property
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
 
@@ -158,14 +152,6 @@ def factorize(n: int) -> Factorization:
 @lru_cache(maxsize=None)
 def _factorize_cached(n: int) -> Factorization:
     return factorize(n)
-
-
-def mobius(n: int) -> int:
-    """Mobius function: 0 unless n is squarefree, else (-1)^(number of primes)."""
-    f = _factorize_cached(n)
-    if not f.is_squarefree:
-        return 0
-    return -1 if f.omega % 2 else 1
 
 
 def euler_phi(n: int) -> int:
@@ -223,10 +209,11 @@ def divisors_of_dinfty(d: int, bound: int) -> list[int]:
 
 
 def squarefree_divisors(d: int) -> list[tuple[int, int]]:
-    """Pairs (alpha, mobius(alpha)) for the squarefree divisors of d, ascending.
+    """Pairs (alpha, mu(alpha)) for the squarefree divisors of d, ascending, mu the Mobius function.
 
     These are exactly the divisors with nonzero Mobius weight, i.e. the
-    support of every inclusion-exclusion sum in this package.
+    support of every inclusion-exclusion sum in this package, and the only
+    place the package reads mu.
     """
     pairs = [(1, 1)]
     for p in _factorize_cached(d).primes():

@@ -84,12 +84,15 @@ class BaseDecomposition:
         return valuation(2, self.h)
 
 
-def decompose(base: RationalBase | int | str | Fraction) -> BaseDecomposition:
+def decompose(base: BaseDecomposition | RationalBase | int | str | Fraction) -> BaseDecomposition:
     """Split g into sign * g0^h with h maximal and attach the discriminant.
 
     |g1| and g2 are each factored once; g0 and its discriminant are read from
-    those factors, as g0 has the exponents e // h.
+    those factors, as g0 has the exponents e // h.  A decomposition is
+    returned unchanged, so a caller that has one passes it on instead of g.
     """
+    if isinstance(base, BaseDecomposition):
+        return base
     base = as_base(base)
     num, den = factorize(abs(base.g1)).factors, factorize(base.g2).factors
     h = math.gcd(*(e for _, e in num + den))

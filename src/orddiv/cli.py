@@ -23,7 +23,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .base import RationalBase, as_base
+from .base import RationalBase, as_base, decompose
 from .census import CensusConfig, CheckpointError, run_census, verify_key_identity
 from .density import density
 from .kummer import series_exact, series_partial
@@ -155,9 +155,10 @@ def _table_command(args) -> int:
 
 
 def _oracle_command(args) -> int:
-    estimate = series_partial(args.g, args.d, args.vmax)
-    delta = density(args.g, args.d).delta
-    exact = series_exact(args.g, args.d)
+    dec = decompose(args.g)  # one factorization of g for all three routes
+    estimate = series_partial(dec, args.d, args.vmax)
+    delta = density(dec, args.d).delta
+    exact = series_exact(dec, args.d)
     ok = estimate.partial <= delta <= estimate.partial + estimate.tail_bound
     payload = {
         "d": estimate.d,

@@ -12,7 +12,7 @@ independent exact route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import factorize, gcd_with_dinfty, valuation
@@ -40,7 +40,7 @@ _EPSILON_TABLE = {
 
 @dataclass(frozen=True)
 class DensityReport:
-    """Density of {p : d | ord_p(g)} with its exact factor breakdown."""
+    """Density of {p : d | ord_p(g)} with its exact factor breakdown; delta = epsilon1 * S."""
 
     decomposition: BaseDecomposition
     d: int
@@ -48,11 +48,10 @@ class DensityReport:
     epsilon1: Fraction
     gamma: int | None
     case_label: str
-    delta: Fraction
+    delta: Fraction = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.delta != self.epsilon1 * self.s_factor:
-            raise ValueError(f"delta {self.delta} is not epsilon1 * S = {self.epsilon1 * self.s_factor}")
+        object.__setattr__(self, "delta", self.epsilon1 * self.s_factor)
         if not 0 < self.delta <= 1:
             raise ValueError(f"density {self.delta} out of range")
 
@@ -102,23 +101,17 @@ def _epsilon1_parts(
     return 1 + epsilon_table(1, gamma), "4|d-disc", gamma
 
 
-def density(g: RationalBase | int | str | Fraction, d: int) -> DensityReport:
+def density(g: BaseDecomposition | RationalBase | int | str | Fraction, d: int) -> DensityReport:
     """Exact density of primes p (with g a unit mod p) whose order is divisible by d."""
-    return _density(decompose(as_base(g)), d)
-
-
-def _density(dec: BaseDecomposition, d: int) -> DensityReport:
-    """density for a base already decomposed."""
+    dec = decompose(g)
     eps, label, gamma = _epsilon1_parts(dec, d)
-    s = s_factor(d, dec.h)
     return DensityReport(
         decomposition=dec,
         d=d,
-        s_factor=s,
+        s_factor=s_factor(d, dec.h),
         epsilon1=eps,
         gamma=gamma,
         case_label=label,
-        delta=eps * s,
     )
 
 
@@ -134,9 +127,5 @@ def density_by_transfer(g: RationalBase | int | str | Fraction, d: int) -> Fract
         raise ValueError("density_by_transfer requires a negative base")
     dec = decompose(RationalBase(-base.g1, base.g2))
     if d % 4 == 2:
-        return (
-            _density(dec, d // 2).delta
-            + _density(dec, 2 * d).delta
-            - _density(dec, d).delta
-        )
-    return _density(dec, d).delta
+        return density(dec, d // 2).delta + density(dec, 2 * d).delta - density(dec, d).delta
+    return density(dec, d).delta

@@ -28,7 +28,6 @@ from .arith import (
 from .base import (
     BaseDecomposition,
     RationalBase,
-    as_base,
     decompose,
     gamma_exponent,
     is_fundamental_discriminant,
@@ -116,43 +115,43 @@ class SeriesEstimate:
     blocks: tuple[tuple[int, Fraction], ...]
 
 
-def series_partial(g: RationalBase | int | str | Fraction, d: int, vmax: int) -> SeriesEstimate:
+def series_partial(
+    g: BaseDecomposition | RationalBase | int | str | Fraction, d: int, vmax: int
+) -> SeriesEstimate:
     """Sum the degree series over v | d^inf, v <= vmax, recording per-v blocks.
 
     Each block is the inner Mobius sum at one v; blocks are provably
     nonnegative, so partial sums increase monotonically toward the density.
-    A block is num / (unit v^2) with a numerator that depends on v only
-    through gcd(v, 2^(v2(d)+1) h), so it is computed once per such class
-    (the proof is at _two_adic_period).
+    The block at v is num[gcd(v, top)] / (unit v^2), from _class_numerators
+    (the proof is at _two_adic_period); each class's sign is checked once.
     """
     if vmax < 1:
         raise ValueError("vmax must be positive")
-    dec = decompose(as_base(g))
+    dec = decompose(g)
+    unit, top, num = _class_numerators(d, dec.h, _series_eps(d, dec), _two_adic_period(d, dec.h))
+    for c, n in num.items():
+        if n < 0:  # c is the first v of its class
+            raise ArithmeticError(f"negative series block at v={c} for g={dec.base}")
     vs = divisors_of_dinfty(d, vmax)
-    unit, nums = _block_numerators(d, dec.h, vs, _series_eps(d, dec), _two_adic_period(d, dec.h))
+    nums = [num[math.gcd(v, top)] for v in vs]
     den, weights = _inverse_squares(vs)
-    blocks: list[tuple[int, Fraction]] = []
-    for v, num in zip(vs, nums):
-        if num < 0:
-            raise ArithmeticError(f"negative series block at v={v} for g={dec.base}")
-        blocks.append((v, Fraction(num, unit * v * v)))
     return SeriesEstimate(
         d=d,
         vmax=vmax,
-        partial=Fraction(sum(num * w for w, num in zip(weights, nums)), unit * den),
+        partial=Fraction(sum(n * w for w, n in zip(weights, nums)), unit * den),
         tail_bound=_series_tail(d, (den, weights), dec.h),
-        blocks=tuple(blocks),
+        blocks=tuple((v, Fraction(n, unit * v * v)) for v, n in zip(vs, nums)),
     )
 
 
-def series_exact(g: RationalBase | int | str | Fraction, d: int) -> Fraction:
+def series_exact(g: BaseDecomposition | RationalBase | int | str | Fraction, d: int) -> Fraction:
     """The whole degree series, summed over every v | d^inf, as one Fraction (see _exact_sum)."""
-    dec = decompose(as_base(g))
+    dec = decompose(g)
     return _exact_sum(d, dec.h, _series_eps(d, dec), _two_adic_period(d, dec.h))
 
 
 def _series_eps(d: int, dec: BaseDecomposition) -> Callable[[int, int], int]:
-    """The series' eps_doubled(v, alpha) for _block_numerators: 2 eps at kr = dv, k = alpha v."""
+    """The series' eps_doubled(v, alpha) for _class_numerators: 2 eps at kr = dv, k = alpha v."""
     return lambda v, alpha: _eps_doubled(d * v, alpha * v, dec)
 
 
@@ -173,24 +172,22 @@ def _two_adic_period(d: int, h: int) -> int:
 
 
 def _exact_sum(d: int, h: int, eps_doubled: Callable[[int, int], int], period: int) -> Fraction:
-    """The double sum of _block_numerators over every v | d^inf, as one Fraction.
+    """The double sum over every v | d^inf, as one Fraction, from _class_numerators.
 
-    The block at v is num(c) / (unit v^2) with c = gcd(v, P) for the period P;
-    the classes c are the divisors of C = prod_{l|d} l^E, E = v_l(P), each its
-    own key.  With e = v_l(c), the class of c holds the v | d^inf with
+    The block at v is num[c] / (unit v^2) with c = gcd(v, top), and the
+    classes c are the divisors of top = prod_{l|d} l^E, E = v_l(P), for the
+    period P.  With e = v_l(c), the class of c holds the v | d^inf with
     v_l(v) = e where e < E and v_l(v) >= E where e = E.  Its sum of 1/v^2 is
     W_c = prod_{l|d} of l^(-2e) (e < E) or of sum_{j>=E} l^(-2j) =
     l^(-2E) l^2/(l^2-1) (e = E), i.e. c^(-2) prod_{l : e = E} l^2/(l^2-1), and
-    the series is the finite sum of num(c) W_c / unit.  Over unit C^2
-    prod_{l|d} (l^2-1), W_c's numerator is (C/c)^2 times l^2 for each l with
-    e = E (l does not divide C/c) and l^2-1 for each other l.
+    the series is the finite sum of num[c] W_c / unit.  Over unit top^2
+    prod_{l|d} (l^2-1), W_c's numerator is (top/c)^2 times l^2 for each l with
+    e = E (l does not divide top/c) and l^2-1 for each other l.
     """
-    top = gcd_with_dinfty(period, d)
-    classes = [c for c in divisors_of_dinfty(d, top) if top % c == 0]
-    unit, nums = _block_numerators(d, h, classes, eps_doubled, period)
+    unit, top, nums = _class_numerators(d, h, eps_doubled, period)
     primes = factorize(d).primes()
     total = 0
-    for c, num in zip(classes, nums):
+    for c, num in nums.items():
         rest = top // c
         weight = rest * rest
         for ell in primes:
@@ -199,44 +196,39 @@ def _exact_sum(d: int, h: int, eps_doubled: Callable[[int, int], int], period: i
     return Fraction(total, unit * top * top * math.prod(ell * ell - 1 for ell in primes))
 
 
-def _block_numerators(
-    d: int, h: int, vs: list[int], eps_doubled: Callable[[int, int], int], period: int
-) -> tuple[int, list[int]]:
-    """(unit, nums): the block of the double sum at vs[i] is nums[i] / (unit * vs[i]^2).
+def _class_numerators(
+    d: int, h: int, eps_doubled: Callable[[int, int], int], period: int
+) -> tuple[int, int, dict[int, int]]:
+    """(unit, top, num): the double sum's block at v | d^inf is num[gcd(v, top)] / (unit v^2).
 
     A v | d^inf has only primes of d, so phi(dv) = phi(d) v.  With rad the
     radical of d and eps2 = eps_doubled(v, alpha), the (v, alpha) term
     1/deg(dv, alpha v) = eps2 gcd(alpha v, h) / (2 phi(dv) alpha v) is then
     eps2 gcd(alpha v, h) (rad/alpha) / (2 phi(d) rad v^2), over the unit
-    2 phi(d) rad.  An eps2 of 0 leaves the term out.  Each term's degree is
-    checked integral: the numerator must divide unit * v^2.
+    2 phi(d) rad.  An eps2 of 0 leaves the term out.
 
-    The caller's period P promises that the (v, alpha) term depends on v only
-    through key = gcd(v, P), so each numerator is computed once per key.
-    This is exact: key | v and v | d^inf, so key is in the ascending vs at
-    or before v, and its numerator is computed there first.  A term that
-    divides unit * key^2 divides unit * v^2, so a check that passes at the
-    key passes at every v of its class, and a failing check raises at the
-    same first v as a per-v loop would.
+    The caller's period P promises that the term reads v only through
+    gcd(v, P), which is gcd(v, top) for top = gcd_with_dinfty(P, d).  So the
+    classes are the divisors c of top, ascending, and each numerator is
+    computed at v = c, the first v of its class.  Each term's degree is
+    checked integral there, its numerator dividing unit c^2, and so
+    unit v^2 for every v of the class.
     """
     alphas = squarefree_divisors(d)
     rad = alphas[-1][0]
     unit = 2 * euler_phi(d) * rad
-    by_key: dict[int, int] = {}
-    nums = []
-    for v in vs:
-        key = math.gcd(v, period)
-        if key not in by_key:  # then key == v, the first v of its class
-            den = unit * v * v
-            num = 0
+    top = gcd_with_dinfty(period, d)
+    num: dict[int, int] = {}
+    for c in divisors_of_dinfty(d, top):
+        if top % c == 0:
+            den, total = unit * c * c, 0
             for alpha, mu in alphas:
-                term = eps_doubled(v, alpha) * math.gcd(alpha * v, h) * (rad // alpha)
+                term = eps_doubled(c, alpha) * math.gcd(alpha * c, h) * (rad // alpha)
                 if term and den % term:
-                    raise _not_integral(d * v, alpha * v, h)
-                num += mu * term
-            by_key[key] = num
-        nums.append(by_key[key])
-    return unit, nums
+                    raise _not_integral(d * c, alpha * c, h)
+                total += mu * term
+            num[c] = total
+    return unit, top, num
 
 
 def _inverse_squares(vs: list[int]) -> tuple[int, list[int]]:
@@ -256,7 +248,9 @@ def _series_tail(d: int, squares: tuple[int, list[int]], h: int) -> Fraction:
     return Fraction(2 * h, euler_phi(d)) * (d * s_factor(d, 1) - Fraction(sum(weights), den))
 
 
-def tail_bound(g: RationalBase | int | str | Fraction, d: int, vmax: int) -> Fraction:
+def tail_bound(
+    g: BaseDecomposition | RationalBase | int | str | Fraction, d: int, vmax: int
+) -> Fraction:
     """Upper bound for the degree series omitted past vmax.
 
     Each block at v is at most 1/[Q(zeta_dv, g^(1/v)):Q] <= 2h/(phi(d) v^2),
@@ -265,7 +259,7 @@ def tail_bound(g: RationalBase | int | str | Fraction, d: int, vmax: int) -> Fra
     """
     if vmax < 1:
         raise ValueError("vmax must be positive")
-    return _series_tail(d, _inverse_squares(divisors_of_dinfty(d, vmax)), decompose(as_base(g)).h)
+    return _series_tail(d, _inverse_squares(divisors_of_dinfty(d, vmax)), decompose(g).h)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from orddiv.arith import (
     factorize,
     gcd_with_dinfty,
     is_prime,
-    mobius,
     squarefree_divisors,
     valuation,
 )
@@ -103,20 +102,6 @@ class TestIsPrime:
             assert not is_prime(n)
 
 
-class TestMobius:
-    def test_examples(self):
-        assert mobius(1) == 1
-        assert mobius(6) == 1
-        assert mobius(12) == 0
-        assert mobius(30) == -1
-
-    def test_divisor_sum_identity(self):
-        # sum of mu over the divisors of n vanishes except at n = 1
-        for n in range(1, 10_001):
-            total = sum(mobius(a) for a in sympy.divisors(n))
-            assert total == (1 if n == 1 else 0)
-
-
 class TestEulerPhi:
     def test_examples(self):
         assert euler_phi(1) == 1
@@ -188,9 +173,14 @@ class TestSquarefreeDivisors:
         for d in (1, 2, 12, 30, 36):
             pairs = squarefree_divisors(d)
             assert [a for a, _ in pairs] == sorted(
-                a for a in sympy.divisors(d) if mobius(a) != 0
+                a for a in sympy.divisors(d) if sympy.mobius(a) != 0
             )
-            assert all(mu == mobius(a) for a, mu in pairs)
+            assert all(mu == sympy.mobius(a) for a, mu in pairs)
+
+    def test_divisor_sum_identity(self):
+        # sum of mu over the divisors of n vanishes except at n = 1
+        for n in range(1, 10_001):
+            assert sum(mu for _, mu in squarefree_divisors(n)) == (n == 1), n
 
 
 class TestExactRationals:

@@ -9,7 +9,8 @@ from types import SimpleNamespace
 import pytest
 from support import run_python
 
-from orddiv import cli
+from orddiv import base, cli
+from orddiv.arith import factorize
 from orddiv.cli import decimal_string, main
 from orddiv.density import density
 from orddiv.tables import TABLE_NEGATIVE, TABLE_POSITIVE
@@ -81,6 +82,14 @@ class TestExitCodes:
         assert main(["oracle", "-g", "2", "-d", "2", "--vmax", "8", "--format", "json"]) == 1
         out = json.loads(capsys.readouterr().out)
         assert (out["bracket"], out["exact"], out["delta"]) == ("PASS", "41/24", "17/24")
+
+    def test_oracle_factors_g_once(self, monkeypatch, capsys):
+        # the three routes share one decomposition: |g1| and g2 are factored once each
+        calls = []
+        monkeypatch.setattr(base, "factorize", lambda n: calls.append(n) or factorize(n))
+        assert main(["oracle", "-g", "1000136000399", "-d", "2", "--vmax", "64"]) == 0
+        assert calls == [1000136000399, 1]
+        assert "bracket    = PASS" in capsys.readouterr().out
 
     def test_bad_threads_env(self):
         # a garbage ORDDIV_THREADS is a usage error of census alone

@@ -1,9 +1,9 @@
-import importlib
 from fractions import Fraction
 
 import pytest
 
-from orddiv.arith import valuation
+from orddiv import base as base_module
+from orddiv.arith import factorize, valuation
 from orddiv.base import decompose, fundamental_discriminant
 from orddiv.density import (
     density,
@@ -11,9 +11,6 @@ from orddiv.density import (
     epsilon_table,
     s_factor,
 )
-
-# the module itself: the package's `density` attribute is the function
-density_module = importlib.import_module("orddiv.density")
 
 
 class TestSFactor:
@@ -83,16 +80,16 @@ class TestDensity:
             density_by_transfer(2, 4)
 
     def test_transfer_decomposes_once(self, monkeypatch):
-        # for d = 2 (mod 4) the three densities of |g| share one decomposition
+        # for d = 2 (mod 4) the three densities of |g| share one decomposition,
+        # so |g1| and g2 are factored once each
         calls = []
-        monkeypatch.setattr(density_module, "decompose",
-                            lambda base: calls.append(base) or decompose(base))
+        monkeypatch.setattr(base_module, "factorize", lambda n: calls.append(n) or factorize(n))
         for g in (-2, -3, -9, Fraction(-8, 27), -12, Fraction(-1, 3)):
             for d in range(1, 31):
                 calls.clear()
                 got = density_by_transfer(g, d)
-                assert len(calls) == 1, (g, d)
                 pos = -Fraction(g)
+                assert calls == [pos.numerator, pos.denominator], (g, d)
                 if d % 4 == 2:
                     want = density(pos, d // 2).delta + density(pos, 2 * d).delta - density(pos, d).delta
                 else:
