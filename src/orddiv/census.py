@@ -1,10 +1,10 @@
 """Empirical prime census: count primes p <= x with d | ord_p(g).
 
 The hot path is a segmented, odd-only sieve with vectorized modular
-exponentiation over whole segments of primes (int64 products stay below
-2^63 for x up to 3e9, which covers the full published-table scale).  The
-sieve strikes its mask one cache-sized block at a time, every base prime
-striking each block while it is in cache.  The exponentiation is a
+exponentiation over the primes of one sieve window at a time (int64
+products stay below 2^63 for x up to 3e9, which covers the full
+published-table scale).  A window is one cache-sized block of the mask,
+struck by every base prime while it is in cache.  The exponentiation is a
 3-bit-window ladder run in cache-sized blocks, and every bulk
 exponentiation is `_powmod_vec`.
 Divisibility of the order by d is decided per prime power l^a || d from the
@@ -17,7 +17,7 @@ at the residues of g with 2^(a+1) | p - 1: with e = v2(p - 1) >= a, a
 non-residue has v2(ord_p g) = e, a hit, and a residue with e = a has
 v2(ord_p g) < a, a miss.
 The character (g/p) is the Jacobi symbol (g1 g2/p), periodic in p with period
-4|g1 g2|; up to a period of _POWMOD_BLOCK each run reads it from a table
+4|g1 g2|; up to a period of _POWMOD_BLOCK each window reads it from a table
 filled by Euler's criterion (a power test) at one prime of every class it
 meets, and beyond it every prime takes the ladder.  A prime is left out when
 g is not a unit modulo it, which the unit filter reads from the residue of
@@ -25,16 +25,19 @@ g1 * g2, testing only the primes up to |g1 g2|: g itself is never factored.
 
 One driver maps runs of consecutive segments, serially or on a process pool of
 at most one process per CPU.  A run is at most _TASK_SPAN numbers wide unless
-a single segment is wider, and its task sieves it once, keeps the primes at
-which g is a unit and hands that one array to a reducer.  Each reducer runs
-the stages it needs: `run_census` applies the d | p - 1 prefilter and the
-power tests, computing g mod p only when d has prime factors to test, splits
-its two counts at the segment ends and checkpoints one JSON line per segment,
-so long runs resume after a fingerprint check; `verify_key_identity` and
-`verify_order_flip` sum their own results per run on one worker, in memory
-bounded by the run's width, and decide every order property by power tests
-too: an identity block counts the primes where g^((p-1)/(rad(d) v)) has order
-exactly rad(d), with no Mobius sum.  d is factored once per configuration
+a single segment is wider.  Its task walks it in windows of 2 * _SIEVE_BLOCK
+numbers: it sieves each window, keeps the primes at which g is a unit and
+hands that array to a reducer, which returns integer counts that the task
+sums over the windows.  So a task's memory is bounded by one window, whatever
+the run's width (see _TASK_SPAN).  Each reducer runs the stages it needs:
+`run_census` applies the d | p - 1 prefilter and the power tests, computing
+g mod p only when d has prime factors to test, splits its two counts at the
+segment ends and checkpoints one JSON line per segment, so long runs resume
+after a fingerprint check; `verify_key_identity` and `verify_order_flip` count
+on one worker, and decide every order property by power tests too: an
+identity block counts the primes where g^((p-1)/(rad(d) v)) has order exactly
+rad(d), with no Mobius sum, and the order flip counts the primes where its
+relation fails.  d is factored once per configuration
 (`CensusConfig.d_factors`), and a d >= x_limit never.  The driver keeps no
 module state, so runs on threads of one process do not see each other.
 """
@@ -77,15 +80,15 @@ _MAX_X_LIMIT = 3_000_000_000
 # a block's 8-row table of int64 powers is 2 MiB.
 _WINDOW_BITS = 3
 _POWMOD_BLOCK = 1 << 15
-# _primes_in_segment strikes its base primes one block of this many
-# mask slots at a time: a 1 MiB block of the bool mask, sized to L2 like
-# _POWMOD_BLOCK's table.
+# A task sieves and counts its run one window of this many mask slots (twice
+# as many numbers) at a time: a 1 MiB block of the bool mask, sized to L2 like
+# _POWMOD_BLOCK's table, and about 130k primes near 10^7.
 _SIEVE_BLOCK = 1 << 20
-# The widest range one driver task sieves when its segments are
-# narrower: CensusConfig's default segment size, so a task's memory (at most
-# 30 MiB for a table row's 10^7-wide run, measured) is never more than one
-# default segment's.  Its passes stay in cache: the sieve strikes 1 MiB of
-# mask and each ladder block holds 2 MiB of powers at a time.
+# The widest range one driver task takes when its segments are narrower:
+# CensusConfig's default segment size.  It bounds only the work a killed task
+# loses, not memory: a task holds one window's arrays at a time, a traced peak
+# of 6.8-7.6 MiB over a 10^7-wide run near 10^7 and 5.6-5.9 MiB over a
+# 5*10^7-wide one near 2*10^9 (measured for (2, 2) and (-9, 6)).
 _TASK_SPAN = 10_000_000
 
 
@@ -185,13 +188,13 @@ def _small_primes(limit: int) -> np.ndarray:
 
 
 def _primes_in_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
-    """Odd primes in [lo, hi] via an odd-only segmented sieve.
+    """Odd primes in [lo, hi] via an odd-only sieve.
 
     Slot i of the mask stands for lo + 2i, and an odd prime p crosses off
-    every p-th slot from that of its first odd multiple >= max(p^2, lo).  The
-    mask is struck one _SIEVE_BLOCK of slots at a time, with one strided store
-    per prime per block, so each block is struck by every base prime while it
-    is in cache; each prime's next slot carries over to the next block.
+    every p-th slot from that of its first odd multiple >= max(p^2, lo), in
+    one strided store.  A task calls it on one window of _SIEVE_BLOCK slots
+    at a time (_run_task), so every base prime strikes the mask while it is
+    in cache.
     """
     lo = max(lo, 3)
     if lo % 2 == 0:
@@ -204,15 +207,12 @@ def _primes_in_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     slot = (start + odd * (start % 2 == 0) - lo) // 2
     # a prime whose first slot is past the mask strikes nothing (most of them on a narrow run)
     inside = slot < mask.size
-    odd, slot = odd[inside], slot[inside]
-    for b in range(0, mask.size, _SIEVE_BLOCK):
-        block = mask[b : b + _SIEVE_BLOCK]
-        for p, i in zip(odd.tolist(), (slot - b).tolist()):
-            block[i::p] = False
-        # each prime's first slot at or past the block's end; a slot already past
-        # it stays put, as stepping it back could land on p itself
-        slot += np.maximum(0, -(-(b + block.size - slot) // odd)) * odd
-    return lo + 2 * np.flatnonzero(mask).astype(np.int64)
+    for p, i in zip(odd[inside].tolist(), slot[inside].tolist()):
+        mask[i::p] = False
+    primes = np.flatnonzero(mask)  # int64 slot indices, turned into primes in place
+    primes *= 2
+    primes += lo
+    return primes
 
 
 def _powmod_vec(basev: np.ndarray, exp: np.ndarray | int, mod: np.ndarray) -> np.ndarray:
@@ -461,14 +461,22 @@ def _append_checkpoint(fh, seg: SegmentCount, fingerprint: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_task(reduce, base_primes: np.ndarray, g1g2: int, run: list[tuple[int, int]]):
-    """reduce(run, primes) for one run of consecutive segments, sieved once."""
-    return reduce(run, _unit_primes(run[0][0], run[-1][1], base_primes, g1g2))
+def _run_task(reduce, base_primes: np.ndarray, g1g2: int, run: list[tuple[int, int]]) -> list:
+    """reduce(run, primes), an int64 array of counts, summed over the windows of one run
+    of consecutive segments, primes being a window's odd primes at which g is a unit.
+
+    A window is 2 * _SIEVE_BLOCK numbers, one mask block, so each stage's arrays
+    stay near cache size however wide the run.
+    """
+    lo, hi = run[0][0], run[-1][1]
+    width = 2 * _SIEVE_BLOCK
+    return sum(reduce(run, _unit_primes(w, min(w + width - 1, hi), base_primes, g1g2))
+               for w in range(lo, hi + 1, width)).tolist()
 
 
 def _map_segments(config: CensusConfig, reduce, segments: list[tuple[int, int]]):
-    """Yield reduce(run, primes) for each run of consecutive segments in order, primes
-    being the run's odd primes at which config.g is a unit.
+    """Yield _run_task's sum of reduce(run, primes) for each run of consecutive segments
+    in order, as a list of ints.
 
     A run never bridges a gap between segments, and holds at most _TASK_SPAN //
     segment_size of them (one if wider) and at most its share of them per
@@ -493,8 +501,9 @@ def _map_segments(config: CensusConfig, reduce, segments: list[tuple[int, int]])
         yield from pool.map(task, runs)  # submits every run up front, yields in order
 
 
-def _count_run(g: RationalBase, d: int, d_factors, run, considered) -> list[tuple[int, int]]:
-    """(counted, considered) for each segment of one run, split at the segment ends.
+def _count_run(g: RationalBase, d: int, d_factors, run, considered) -> np.ndarray:
+    """(counted, considered) for each segment of one run, from one window's primes,
+    split at the segment ends.
 
     d = 1 counts every prime, so it computes no g mod p (for g2 != 1, no inverse ladder).
     """
@@ -502,9 +511,8 @@ def _count_run(g: RationalBase, d: int, d_factors, run, considered) -> list[tupl
     if d_factors:
         hits = _order_hits(_residues(g.g1, g.g2, hits), hits, d_factors, g.g1 * g.g2)
     ends = [hi for _, hi in run]
-    counted, total = (np.diff(np.searchsorted(a, ends, side="right"), prepend=0).tolist()
-                      for a in (hits, considered))
-    return list(zip(counted, total))
+    return np.stack([np.diff(np.searchsorted(a, ends, side="right"), prepend=0)
+                     for a in (hits, considered)], axis=1)
 
 
 def run_census(config: CensusConfig) -> CensusResult:
@@ -518,7 +526,9 @@ def run_census(config: CensusConfig) -> CensusResult:
     are written as it finishes, each line flushed as it is written and
     fsynced within _FSYNC_INTERVAL_S, and all of them before the run
     returns; a killed run loses only the tasks in flight, each at most
-    _TASK_SPAN numbers wide unless a single segment is wider.
+    _TASK_SPAN numbers wide unless a single segment is wider.  Each worker
+    holds one sieve window's arrays at a time, so memory does not grow with
+    segment_size or x_limit.
     """
     segments = config.segments()
     done: dict[tuple[int, int], SegmentCount] = {}
@@ -590,17 +600,17 @@ def _two_adic_valuation(y: np.ndarray, ps: np.ndarray) -> np.ndarray:
 
 def _identity_run(
     g: RationalBase, d: int, d_factors, vs: tuple[int, ...], run, considered
-) -> list[int]:
-    """lhs, then each v-block of verify_key_identity's rhs, over one run of segments.
+) -> np.ndarray:
+    """lhs, then each v-block of verify_key_identity's rhs, over one window's primes.
 
     For v | d^inf, p = 1 (mod dv) exactly when v | (p - 1)/d, a quotient
-    taken once per run.  A block with no such prime counts 0 and runs no
+    taken once per window.  A block with no such prime counts 0 and runs no
     ladder; any other block counts the y = g^((p-1)/(rad v)) of order exactly
     rad, in 2 + omega(d) ladders.
     """
     ps = _prefilter(considered, d)
     if not ps.size:  # with no prime left, d may be past int64 (see _prefilter)
-        return [0] * (1 + len(vs))
+        return np.zeros(1 + len(vs), dtype=np.int64)
     gbar = _residues(g.g1, g.g2, ps)
     counts = [_order_hits(gbar, ps, d_factors, g.g1 * g.g2).size]
     ells = [ell for ell, _ in d_factors]
@@ -617,7 +627,7 @@ def _identity_run(
         for ell in ells:
             exact &= _powmod_vec(y, rad // ell, sel) != 1
         counts.append(int(np.count_nonzero(exact)))
-    return counts
+    return np.array(counts, dtype=np.int64)
 
 
 def verify_key_identity(
@@ -645,11 +655,12 @@ def verify_key_identity(
     return KeyIdentityReport(config.g, d, x, lhs, tuple(zip(vs, counts)))
 
 
-def _flip_run(g: RationalBase, run, ps: np.ndarray) -> bool:
-    """verify_order_flip's relation at every prime of one run of segments."""
+def _flip_run(g: RationalBase, run, ps: np.ndarray) -> np.ndarray:
+    """The number of primes of one window where verify_order_flip's relation fails, as
+    an array of one count."""
     y = _powmod_vec(_residues(g.g1, g.g2, ps), _strip_vec(ps - 1, 2), ps)
     t, t_neg = _two_adic_valuation(y, ps), _two_adic_valuation(ps - y, ps)
-    return bool(np.array_equal(t_neg, np.where(t == 0, 1, np.where(t == 1, 0, t))))
+    return np.count_nonzero(t_neg != np.where(t == 0, 1, np.where(t == 1, 0, t)), keepdims=True)
 
 
 def verify_order_flip(g: RationalBase | int | str | Fraction, x: int) -> bool:
@@ -665,4 +676,5 @@ def verify_order_flip(g: RationalBase | int | str | Fraction, x: int) -> bool:
     config = CensusConfig(g, 1, x)
     if config.g.g1 < 0:
         raise ValueError("verify_order_flip requires g > 0")
-    return all(_map_segments(config, functools.partial(_flip_run, config.g), config.segments()))
+    failures = _map_segments(config, functools.partial(_flip_run, config.g), config.segments())
+    return sum(count for [count] in failures) == 0

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -276,14 +277,14 @@ class TestSieve:
 
     @pytest.mark.parametrize("lo, block, slots", [
         *[(lo, block, slots) for lo in (1_000_001, 1_000_000) for block, slots in (
-            (4096, 3 * 4096),      # the mask ends on a block edge
+            (4096, 3 * 4096),      # the run ends on a window edge
             (4096, 3 * 4096 + 1),  # one slot past one
             (4096, 3 * 4096 + 1000),  # inside one
-            (4096, 1000),          # narrower than one block
-            (256, 70 * 256 + 17),  # base primes past 256 skip whole blocks
+            (4096, 1000),          # narrower than one window
+            (256, 70 * 256 + 17),  # base primes past 256 skip whole windows
         )],
-        # each base prime p >= 521 is in the segment, past the first block, and its
-        # first strike p^2 further on: its carried slot must not step back onto p
+        # each base prime p >= 521 lies in a window past the first, and its first strike
+        # p^2 in a later one: no window may strike p itself
         (3, 256, (521**2 - 3) // 2 + 1),
     ])
     def test_blocked_strikes_at_block_edges(self, monkeypatch, lo, block, slots):
@@ -291,24 +292,54 @@ class TestSieve:
         hi = (lo | 1) + 2 * (slots - 1)  # slot i stands for (lo | 1) + 2i
         base = _small_primes(math.isqrt(hi))
         whole = _small_primes(hi)
-        assert _primes_in_segment(lo, hi, base).tolist() == whole[whole >= lo].tolist()
+        windows = _window_primes(lo, hi, base)
+        assert len(windows) == -(-slots // block)
+        assert np.concatenate(windows).tolist() == whole[whole >= lo].tolist()
 
     def test_blocked_strikes_near_the_cap_match_is_prime(self, monkeypatch):
         monkeypatch.setattr(census, "_SIEVE_BLOCK", 4096)
         lo = _MAX_X_LIMIT - 2 * (2 * 4096 + 5) + 1
         want = [n for n in range(lo, _MAX_X_LIMIT + 1, 2) if is_prime(n)]
-        assert _primes_in_segment(lo, _MAX_X_LIMIT, _small_primes(math.isqrt(_MAX_X_LIMIT))).tolist() == want
+        windows = _window_primes(lo, _MAX_X_LIMIT, _small_primes(math.isqrt(_MAX_X_LIMIT)))
+        assert len(windows) == 3
+        assert np.concatenate(windows).tolist() == want
 
     @pytest.mark.parametrize("width", [10**7, 5 * 10**7])
-    def test_blocked_strikes_equal_one_block(self, monkeypatch, width):
-        # wide segments near 2 * 10^9, as a full-scale run sieves them, struck in
-        # _SIEVE_BLOCK slots and then in one block as wide as the mask
+    def test_blocked_strikes_equal_one_block(self, width):
+        # wide segments near 2 * 10^9, as a full-scale run sieves them, in windows of
+        # _SIEVE_BLOCK slots and then in one sieve call as wide as the run
         lo = 2 * 10**9 + 1
-        base = _small_primes(math.isqrt(lo + width))
-        assert width // 2 > 4 * census._SIEVE_BLOCK  # at least five blocks
-        blocked = _primes_in_segment(lo, lo + width - 1, base)
-        monkeypatch.setattr(census, "_SIEVE_BLOCK", width)
-        assert np.array_equal(blocked, _primes_in_segment(lo, lo + width - 1, base))
+        hi = lo + width - 1
+        base = _small_primes(math.isqrt(hi))
+        windows = _window_primes(lo, hi, base)
+        assert len(windows) >= 5
+        assert np.array_equal(np.concatenate(windows), _primes_in_segment(lo, hi, base))
+
+    @pytest.mark.parametrize("block", [256, 4096])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_windows_at_segment_ends(self, monkeypatch, block, offset):
+        # windows of 2 * block numbers from 3: window m ends at 2 * block * m + 2, and the
+        # first segment ends one slot before it (offset -1), at it, or one slot after it
+        m = -(-10**4 // (2 * block))
+        size = 2 * block * m + 2 * offset
+        x = 5 * size + 999
+        config = functools.partial(CensusConfig, segment_size=size)
+
+        def outputs():
+            report = verify_key_identity(-9, 6, x)
+            rows = ((2, 2), (-9, 6), (Fraction(8, 27), 4))
+            return ([run_census(config(g, d, x)).segments for g, d in rows],
+                    (report.lhs, report.rhs, report.blocks),
+                    [verify_order_flip(g, x) for g in (3, Fraction(3, 5))])
+
+        want = outputs()
+        assert config(2, 2, x).segments()[0][1] == 2 * block * m + 2 + 2 * offset
+        monkeypatch.setattr(census, "CensusConfig", config)
+        monkeypatch.setattr(census, "_SIEVE_BLOCK", block)
+        # one run of all 6 segments, then 2 runs of 3, the second at another phase of the windows
+        for span in (census._TASK_SPAN, 3 * size):
+            monkeypatch.setattr(census, "_TASK_SPAN", span)
+            assert outputs() == want, span
 
     def test_prefilter_keeps_p_one_mod_d(self):
         primes = _small_primes(10**7)[1:]
@@ -343,7 +374,8 @@ class TestRunCensus:
 
     def test_d_one_runs_no_residue_ladder(self, monkeypatch):
         # every prime counts at d = 1, so the census computes no g mod p (for 1/2, an inverse
-        # ladder); a d = 2 census and both verifiers, which read g mod p, compute it once per task
+        # ladder); a d = 2 census and both verifiers, which read g mod p, compute it once per
+        # window, here one per task
         calls = []
         residues = census._residues
         monkeypatch.setattr(census, "_residues", lambda *a: calls.append(a[:2]) or residues(*a))
@@ -524,6 +556,25 @@ _PINNED_CHECKPOINT = (
 )
 
 
+class TestTaskMemory:
+    """A task holds one window's arrays at a time, however wide its run."""
+
+    @pytest.mark.parametrize("g, d", [(2, 2), (-9, 6)])
+    def test_task_peak_is_one_window(self, g, d):
+        # a task that ran its stages over the whole 10^7-wide run traced about 24 MiB
+        lo, hi = 10**7, 2 * 10**7
+        config = CensusConfig(g, d, hi)
+        base = _small_primes(math.isqrt(hi))
+        count = functools.partial(census._count_run, config.g, d, config.d_factors)
+        tracemalloc.start()
+        try:
+            census._run_task(count, base, config.g.g1 * config.g.g2, [(lo, hi)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+
 class TestCheckpoint:
     def _config(self, path, x=50_000):
         return CensusConfig(
@@ -692,6 +743,14 @@ def _record_kernel_calls(monkeypatch) -> list:
     return calls
 
 
+def _window_primes(lo: int, hi: int, base_primes: np.ndarray) -> list[np.ndarray]:
+    """The primes of each window of one task over [lo, hi], in order (g = 1, a unit everywhere)."""
+    windows = []
+    census._run_task(lambda run, ps: windows.append(ps) or np.zeros(1, dtype=np.int64),
+                     base_primes, 1, [(lo, hi)])
+    return windows
+
+
 def _split_verifier_segments(monkeypatch) -> list:
     """Make the verifiers' default config use 10^4-wide segments, one sieve call each;
     returns the sieve's calls."""
@@ -760,9 +819,9 @@ class TestKeyIdentity:
 
     @pytest.mark.parametrize("g, d, x", [(7, 210, 10**6), (3, 12, 5 * 10**5)])
     def test_ladders_per_block(self, g, d, x, monkeypatch):
-        # omega(d) power tests for lhs, and for even d one character ladder (the run's
+        # omega(d) power tests for lhs, and for even d one character ladder (the window's
         # table of (g/p)); 2 + omega(d) ladders per block with a prime, none for an
-        # empty block, and one inverse ladder per run when g2 != 1.  x is one run.
+        # empty block, and one inverse ladder per window when g2 != 1.  x is one window.
         calls = []
         powmod = census._powmod_vec
         monkeypatch.setattr(census, "_powmod_vec", lambda *a: calls.append(1) or powmod(*a))
