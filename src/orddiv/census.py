@@ -26,20 +26,24 @@ g1 * g2, testing only the primes up to |g1 g2|: g itself is never factored.
 One driver maps runs of consecutive segments, serially or on a process pool of
 at most one process per CPU.  A run is at most _TASK_SPAN numbers wide unless
 a single segment is wider.  Its task walks it in windows of 2 * _SIEVE_BLOCK
-numbers: it sieves each window, keeps the primes at which g is a unit and
-hands that array to a reducer, which returns integer counts that the task
-sums over the windows.  So a task's memory is bounded by one window, whatever
-the run's width (see _TASK_SPAN).  Each reducer runs the stages it needs:
-`run_census` applies the d | p - 1 prefilter and the power tests, computing
-g mod p only when d has prime factors to test, splits its two counts at the
-segment ends and checkpoints one JSON line per segment, so long runs resume
-after a fingerprint check; `verify_key_identity` and `verify_order_flip` count
-on one worker, and decide every order property by power tests too: an
-identity block counts the primes where g^((p-1)/(rad(d) v)) has order exactly
-rad(d), with no Mobius sum, and the order flip counts the primes where its
-relation fails.  d is factored once per configuration
-(`CensusConfig.d_factors`), and a d >= x_limit never.  The driver keeps no
-module state, so runs on threads of one process do not see each other.
+numbers: it sieves each window, strikes the primes at which g is not a unit
+and hands the window's odd-only mask to a reducer, which returns integer
+counts that the task sums over the windows.  So a task's memory is bounded by
+one window, whatever the run's width (see _TASK_SPAN).  d | ord_p(g) forces
+p = 1 (mod d), so each reducer reads as primes only that class, every
+lcm(2, d)/2-th slot of the mask (_class_primes): a d >= 3 target never lists
+the primes it does not test.  Each reducer then runs the stages it needs:
+`run_census` runs the power tests, computing g mod p only when d has prime
+factors to test, splits its counts at the segment ends (considered being the
+set slots of each segment) and checkpoints one JSON line per segment, so long
+runs resume after a fingerprint check; `verify_key_identity` (class d) and
+`verify_order_flip` (class 1, every prime) count on one worker, and decide
+every order property by power tests too: an identity block counts the primes
+where g^((p-1)/(rad(d) v)) has order exactly rad(d), with no Mobius sum, and
+the order flip counts the primes where its relation fails.  d is factored
+once per configuration (`CensusConfig.d_factors`), and a d >= x_limit never.
+The driver keeps no module state, so runs on threads of one process do not
+see each other.
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ _SIEVE_BLOCK = 1 << 20
 # The widest range one driver task takes when its segments are narrower:
 # CensusConfig's default segment size.  It bounds only the work a killed task
 # loses, not memory: a task holds one window's arrays at a time, a traced peak
-# of 6.8-7.6 MiB over a 10^7-wide run near 10^7 and 5.6-5.9 MiB over a
+# of 6.8-7.4 MiB over a 10^7-wide run near 10^7 and 5.9-6.2 MiB over a
 # 5*10^7-wide one near 2*10^9 (measured for (2, 2) and (-9, 6)).
 _TASK_SPAN = 10_000_000
 
@@ -171,7 +175,7 @@ class CensusResult:
 
 
 # ---------------------------------------------------------------------------
-# the census stages: sieve, unit filter, d | p - 1 prefilter, g mod p, power tests
+# the census stages: sieve mask, unit filter, class read p = 1 (mod d), g mod p, power tests
 # ---------------------------------------------------------------------------
 
 
@@ -187,21 +191,17 @@ def _small_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def _primes_in_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
-    """Odd primes in [lo, hi] via an odd-only sieve.
+def _sieve_mask(lo: int, hi: int, base_primes: np.ndarray) -> tuple[int, np.ndarray]:
+    """(lo', mask): the odd-only sieve of [lo, hi], slot i standing for lo' + 2i, lo' the
+    first odd number >= max(lo, 3), and True exactly at the primes.
 
-    Slot i of the mask stands for lo + 2i, and an odd prime p crosses off
-    every p-th slot from that of its first odd multiple >= max(p^2, lo), in
-    one strided store.  A task calls it on one window of _SIEVE_BLOCK slots
-    at a time (_run_task), so every base prime strikes the mask while it is
-    in cache.
+    An odd prime p crosses off every p-th slot from that of its first odd
+    multiple >= max(p^2, lo'), in one strided store.  A task calls it on one
+    window of _SIEVE_BLOCK slots at a time (_run_task), so every base prime
+    strikes the mask while it is in cache.
     """
-    lo = max(lo, 3)
-    if lo % 2 == 0:
-        lo += 1
-    if lo > hi:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones((hi - lo) // 2 + 1, dtype=bool)
+    lo = max(lo, 3) | 1
+    mask = np.ones(max(0, (hi - lo) // 2 + 1), dtype=bool)
     odd = base_primes[(base_primes > 2) & (base_primes * base_primes <= hi)]
     start = np.maximum(odd * odd, -(-lo // odd) * odd)
     slot = (start + odd * (start % 2 == 0) - lo) // 2
@@ -209,10 +209,7 @@ def _primes_in_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     inside = slot < mask.size
     for p, i in zip(odd[inside].tolist(), slot[inside].tolist()):
         mask[i::p] = False
-    primes = np.flatnonzero(mask)  # int64 slot indices, turned into primes in place
-    primes *= 2
-    primes += lo
-    return primes
+    return lo, mask
 
 
 def _powmod_vec(basev: np.ndarray, exp: np.ndarray | int, mod: np.ndarray) -> np.ndarray:
@@ -297,27 +294,39 @@ def _residues(g1: int, g2: int, ps: np.ndarray) -> np.ndarray:
     return gbar
 
 
-def _unit_primes(lo: int, hi: int, base_primes: np.ndarray, g1g2: int) -> np.ndarray:
-    """The odd primes in [lo, hi] at which g is a unit: those not dividing g1 * g2, read
-    from its residue, so g is never factored.
+def _unit_mask(lo: int, hi: int, base_primes: np.ndarray, g1g2: int) -> tuple[int, np.ndarray]:
+    """_sieve_mask's (lo', mask) with the primes dividing g1 * g2 struck: True exactly at
+    the odd primes at which g is a unit, read from the residue of g1 g2, so g is
+    never factored.
 
     A prime past |g1 g2| divides no nonzero g1 g2, so only the primes up to
     min(|g1 g2|, hi) are tested; the clamp keeps a huge g1 g2 out of int64.
     """
-    primes = _primes_in_segment(lo, hi, base_primes)
-    cut = int(np.searchsorted(primes, min(abs(g1g2), hi), side="right"))
-    if not cut:
-        return primes
-    head = primes[:cut]
-    return np.concatenate((head[_mod_vec(g1g2, head) != 0], primes[cut:]))
+    lo, mask = _sieve_mask(lo, hi, base_primes)
+    top = min(abs(g1g2), hi)
+    head = np.flatnonzero(mask[: max(0, (top - lo) // 2 + 1)])
+    if head.size:
+        mask[head[_mod_vec(g1g2, 2 * head + lo) == 0]] = False
+    return lo, mask
 
 
-def _prefilter(primes: np.ndarray, d: int) -> np.ndarray:
-    """The primes p (ascending) with d | p - 1.  A d past the largest p divides no p - 1
-    and enters no arithmetic, so it need not fit in int64."""
-    if not primes.size or d >= int(primes[-1]):
-        return primes[:0]
-    return primes[primes % d == 1 % d]  # 1 % d: for d = 1 every p counts
+def _class_primes(lo: int, mask: np.ndarray, d: int) -> np.ndarray:
+    """The primes p = 1 (mod d) of a window's odd-only mask (slot i standing for lo + 2i,
+    lo odd), ascending: one strided read of the class, whatever the other primes.
+
+    With L = lcm(2, d) the odd p = 1 (mod d) are those = 1 (mod L), every
+    (L/2)-th slot from the first, so d = 1 and d = 2 read every prime.  A d at
+    or past the window's end divides no p - 1 there and enters no arithmetic,
+    so it need not fit in int64.
+    """
+    if d >= lo + 2 * (mask.size - 1):
+        return np.empty(0, dtype=np.int64)
+    step = d if d % 2 else d // 2  # L/2 slots
+    first = (1 - lo) // 2 % step
+    primes = np.flatnonzero(mask[first::step])  # int64 indices, turned into primes in place
+    primes *= 2 * step
+    primes += lo + 2 * first
+    return primes
 
 
 def _character(gbar: np.ndarray, ps: np.ndarray, period: int) -> np.ndarray:
@@ -462,20 +471,20 @@ def _append_checkpoint(fh, seg: SegmentCount, fingerprint: str) -> None:
 
 
 def _run_task(reduce, base_primes: np.ndarray, g1g2: int, run: list[tuple[int, int]]) -> list:
-    """reduce(run, primes), an int64 array of counts, summed over the windows of one run
-    of consecutive segments, primes being a window's odd primes at which g is a unit.
+    """reduce(run, lo, mask), an int64 array of counts, summed over the windows of one
+    run of consecutive segments, (lo, mask) being a window's _unit_mask.
 
     A window is 2 * _SIEVE_BLOCK numbers, one mask block, so each stage's arrays
     stay near cache size however wide the run.
     """
     lo, hi = run[0][0], run[-1][1]
     width = 2 * _SIEVE_BLOCK
-    return sum(reduce(run, _unit_primes(w, min(w + width - 1, hi), base_primes, g1g2))
+    return sum(reduce(run, *_unit_mask(w, min(w + width - 1, hi), base_primes, g1g2))
                for w in range(lo, hi + 1, width)).tolist()
 
 
 def _map_segments(config: CensusConfig, reduce, segments: list[tuple[int, int]]):
-    """Yield _run_task's sum of reduce(run, primes) for each run of consecutive segments
+    """Yield _run_task's sum of reduce(run, lo, mask) for each run of consecutive segments
     in order, as a list of ints.
 
     A run never bridges a gap between segments, and holds at most _TASK_SPAN //
@@ -501,18 +510,26 @@ def _map_segments(config: CensusConfig, reduce, segments: list[tuple[int, int]])
         yield from pool.map(task, runs)  # submits every run up front, yields in order
 
 
-def _count_run(g: RationalBase, d: int, d_factors, run, considered) -> np.ndarray:
-    """(counted, considered) for each segment of one run, from one window's primes,
+def _count_run(g: RationalBase, d: int, d_factors, run, lo: int, mask: np.ndarray) -> np.ndarray:
+    """(counted, considered) for each segment of one run, from one window's unit mask,
     split at the segment ends.
 
-    d = 1 counts every prime, so it computes no g mod p (for g2 != 1, no inverse ladder).
+    Only the class p = 1 (mod d) is read as primes; considered counts the set
+    slots of each segment.  d = 1 counts every prime, so it computes no g mod p
+    (for g2 != 1, no inverse ladder).
     """
-    hits = _prefilter(considered, d)
+    hits = _class_primes(lo, mask, d)
     if d_factors:
         hits = _order_hits(_residues(g.g1, g.g2, hits), hits, d_factors, g.g1 * g.g2)
     ends = [hi for _, hi in run]
-    return np.stack([np.diff(np.searchsorted(a, ends, side="right"), prepend=0)
-                     for a in (hits, considered)], axis=1)
+    counts = np.zeros((len(run), 2), dtype=np.int64)
+    counts[:, 0] = np.diff(np.searchsorted(hits, ends, side="right"), prepend=0)
+    # segment k holds the slots [cuts[k-1], cuts[k]) of this window, none if it lies outside
+    cuts = np.clip((np.array(ends) - lo) // 2 + 1, 0, mask.size).tolist()
+    for k, (a, b) in enumerate(zip([0, *cuts], cuts)):
+        if a < b:
+            counts[k, 1] = np.count_nonzero(mask[a:b])
+    return counts
 
 
 def run_census(config: CensusConfig) -> CensusResult:
@@ -599,17 +616,18 @@ def _two_adic_valuation(y: np.ndarray, ps: np.ndarray) -> np.ndarray:
 
 
 def _identity_run(
-    g: RationalBase, d: int, d_factors, vs: tuple[int, ...], run, considered
+    g: RationalBase, d: int, d_factors, vs: tuple[int, ...], run, lo: int, mask: np.ndarray
 ) -> np.ndarray:
-    """lhs, then each v-block of verify_key_identity's rhs, over one window's primes.
+    """lhs, then each v-block of verify_key_identity's rhs, over one window's primes
+    p = 1 (mod d).
 
     For v | d^inf, p = 1 (mod dv) exactly when v | (p - 1)/d, a quotient
     taken once per window.  A block with no such prime counts 0 and runs no
     ladder; any other block counts the y = g^((p-1)/(rad v)) of order exactly
     rad, in 2 + omega(d) ladders.
     """
-    ps = _prefilter(considered, d)
-    if not ps.size:  # with no prime left, d may be past int64 (see _prefilter)
+    ps = _class_primes(lo, mask, d)
+    if not ps.size:  # with no prime left, d may be past int64 (see _class_primes)
         return np.zeros(1 + len(vs), dtype=np.int64)
     gbar = _residues(g.g1, g.g2, ps)
     counts = [_order_hits(gbar, ps, d_factors, g.g1 * g.g2).size]
@@ -655,9 +673,10 @@ def verify_key_identity(
     return KeyIdentityReport(config.g, d, x, lhs, tuple(zip(vs, counts)))
 
 
-def _flip_run(g: RationalBase, run, ps: np.ndarray) -> np.ndarray:
+def _flip_run(g: RationalBase, run, lo: int, mask: np.ndarray) -> np.ndarray:
     """The number of primes of one window where verify_order_flip's relation fails, as
     an array of one count."""
+    ps = _class_primes(lo, mask, 1)
     y = _powmod_vec(_residues(g.g1, g.g2, ps), _strip_vec(ps - 1, 2), ps)
     t, t_neg = _two_adic_valuation(y, ps), _two_adic_valuation(ps - y, ps)
     return np.count_nonzero(t_neg != np.where(t == 0, 1, np.where(t == 1, 0, t)), keepdims=True)

@@ -19,11 +19,11 @@ from orddiv.arith import factorize
 from orddiv.base import RationalBase, as_base
 from orddiv.census import (
     CensusConfig,
+    _class_primes,
     _order_hits,
-    _prefilter,
     _residues,
     _small_primes,
-    _unit_primes,
+    _unit_mask,
     run_census,
     verify_key_identity,
     verify_order_flip,
@@ -129,10 +129,11 @@ def test_criterion_5_order_tests():
     for g in (2, 3, -2, -4, Fraction(1, 2)):
         base = as_base(g)
         orders = np.array([exact_order(g, p) or 0 for p in primes.tolist()])  # 0: p | g1 g2
-        considered = _unit_primes(3, x, base_primes, base.g1 * base.g2)
+        window = _unit_mask(3, x, base_primes, base.g1 * base.g2)
+        considered = _class_primes(*window, 1)
         assert considered.tolist() == primes[orders != 0].tolist(), g
         for d in range(1, 49):
-            ps = _prefilter(considered, d)
+            ps = _class_primes(*window, d)
             hits = _order_hits(_residues(base.g1, base.g2, ps), ps, factorize(d).factors,
                                base.g1 * base.g2)
             assert hits.tolist() == primes[(orders != 0) & (orders % d == 0)].tolist(), (g, d)

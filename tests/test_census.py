@@ -3,6 +3,7 @@ import itertools
 import json
 import logging
 import math
+import random
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -22,15 +23,15 @@ from orddiv.census import (
     _POWMOD_BLOCK,
     CensusConfig,
     CheckpointError,
+    _class_primes,
     _order_hits,
     _powmod_vec,
-    _prefilter,
-    _primes_in_segment,
     _residues,
+    _sieve_mask,
     _small_primes,
     _strip_vec,
     _two_adic_valuation,
-    _unit_primes,
+    _unit_mask,
     run_census,
     verify_key_identity,
     verify_order_flip,
@@ -41,11 +42,21 @@ from orddiv.census import (
 _HARD_BASE = (2**61 - 1) * (2**89 - 1)
 
 
+def _sieved(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
+    """The odd primes in [lo, hi]: the sieve mask read with d = 1, every prime."""
+    return _class_primes(*_sieve_mask(lo, hi, base_primes), 1)
+
+
+def _units(lo: int, hi: int, base_primes: np.ndarray, g1g2: int) -> np.ndarray:
+    """The odd primes in [lo, hi] not dividing g1g2: the unit mask read with d = 1."""
+    return _class_primes(*_unit_mask(lo, hi, base_primes, g1g2), 1)
+
+
 def _hit_primes(g: int | Fraction, d: int, x: int) -> list[int]:
     """The odd primes p <= x with d | ord_p(g), by the census stages over one segment."""
     g = Fraction(g)
     g1, g2 = g.numerator, g.denominator
-    ps = _prefilter(_unit_primes(3, x, _small_primes(math.isqrt(x)), g1 * g2), d)
+    ps = _class_primes(*_unit_mask(3, x, _small_primes(math.isqrt(x)), g1 * g2), d)
     return _order_hits(_residues(g1, g2, ps), ps, factorize(d).factors, g1 * g2).tolist()
 
 
@@ -59,8 +70,8 @@ class TestReduceModP:
 
     def test_rejects_dividing_primes(self):
         base = _small_primes(3)
-        assert _unit_primes(3, 7, base, 3 * 5).tolist() == [7]
-        assert _unit_primes(3, 7, base, 10 * 1).tolist() == [3, 7]
+        assert _units(3, 7, base, 3 * 5).tolist() == [7]
+        assert _units(3, 7, base, 10 * 1).tolist() == [3, 7]
         assert exact_order(Fraction(3, 5), 5) is exact_order(10, 5) is None
 
 
@@ -186,7 +197,7 @@ class TestTwoPartFromCharacter:
         x = 2 * 10**5
         primes, orders = _orders(g, x)
         base = as_base(g)
-        considered = _unit_primes(3, x, _small_primes(math.isqrt(x)), base.g1 * base.g2)
+        considered = _units(3, x, _small_primes(math.isqrt(x)), base.g1 * base.g2)
         assert considered.tolist() == primes[orders != 0].tolist()
         for d in (2, 4, 8, 12, 48):
             assert _hit_primes(g, d, x) == primes[(orders != 0) & (orders % d == 0)].tolist(), d
@@ -196,7 +207,7 @@ class TestTwoPartFromCharacter:
         # miss some class met later in the run; the table still holds every one
         monkeypatch.setattr(census, "_POWMOD_BLOCK", 256)
         g, x, period = 61, 2 * 10**5, 4 * 61
-        ps = _prefilter(_unit_primes(3, x, _small_primes(math.isqrt(x)), g), 2)
+        ps = _class_primes(*_unit_mask(3, x, _small_primes(math.isqrt(x)), g), 2)
         chi = census._character(_residues(g, 1, ps), ps, period)
         assert np.unique(ps[:256] % period).size < np.unique(ps % period).size
         assert (chi != 0).all()
@@ -253,7 +264,7 @@ class TestSieve:
         collected = []
         for lo in range(0, 100_001, 7919):
             hi = min(lo + 7918, 100_000)
-            collected.extend(int(p) for p in _primes_in_segment(lo, hi, base))
+            collected.extend(int(p) for p in _sieved(lo, hi, base))
         assert collected == whole
 
     def test_small_segments_near_the_cap_match_is_prime(self):
@@ -261,7 +272,7 @@ class TestSieve:
         for lo in (2_999_000_001, 2_999_990_001, _MAX_X_LIMIT - 10**4 + 1):
             hi = lo + 10**4 - 1
             want = [n for n in range(lo, hi + 1) if n % 2 and is_prime(n)]
-            assert _primes_in_segment(lo, hi, base).tolist() == want
+            assert _sieved(lo, hi, base).tolist() == want
 
     @pytest.mark.parametrize("width", [10**4 + 1, 10**5, 2 * 10**5 + 7])
     def test_narrow_segments_match_simple_sieve(self, width):
@@ -272,7 +283,7 @@ class TestSieve:
         whole = _small_primes(x)
         for lo in (x - width + 1, 7_654_321, x // 2):
             hi = lo + width - 1
-            got = _primes_in_segment(lo, hi, base)
+            got = _sieved(lo, hi, base)
             assert got.tolist() == whole[(whole >= lo) & (whole <= hi)].tolist()
 
     @pytest.mark.parametrize("lo, block, slots", [
@@ -313,7 +324,7 @@ class TestSieve:
         base = _small_primes(math.isqrt(hi))
         windows = _window_primes(lo, hi, base)
         assert len(windows) >= 5
-        assert np.array_equal(np.concatenate(windows), _primes_in_segment(lo, hi, base))
+        assert np.array_equal(np.concatenate(windows), _sieved(lo, hi, base))
 
     @pytest.mark.parametrize("block", [256, 4096])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -327,7 +338,7 @@ class TestSieve:
 
         def outputs():
             report = verify_key_identity(-9, 6, x)
-            rows = ((2, 2), (-9, 6), (Fraction(8, 27), 4))
+            rows = ((2, 2), (-9, 6), (Fraction(8, 27), 4), (3, 11))
             return ([run_census(config(g, d, x)).segments for g, d in rows],
                     (report.lhs, report.rhs, report.blocks),
                     [verify_order_flip(g, x) for g in (3, Fraction(3, 5))])
@@ -341,15 +352,16 @@ class TestSieve:
             monkeypatch.setattr(census, "_TASK_SPAN", span)
             assert outputs() == want, span
 
-    def test_prefilter_keeps_p_one_mod_d(self):
+    def test_class_read_keeps_p_one_mod_d(self):
+        window = _sieve_mask(3, 10**7, _small_primes(math.isqrt(10**7)))
         primes = _small_primes(10**7)[1:]
         top = int(primes[-1])
         for d in (1, 2, 3, 12, 2**20, top, top + 1):
             want = primes[(primes - 1) % d == 0]
-            assert np.array_equal(_prefilter(primes, d), want), d
-        assert _prefilter(primes, 1).size == primes.size  # d = 1: every prime
-        assert _prefilter(primes, 2**20).tolist() == [7 * 2**20 + 1]
-        assert _prefilter(primes, 2**70).size == 0  # past int64: no arithmetic
+            assert np.array_equal(_class_primes(*window, d), want), d
+        assert _class_primes(*window, 1).size == primes.size  # d = 1: every prime
+        assert _class_primes(*window, 2**20).tolist() == [7 * 2**20 + 1]
+        assert _class_primes(*window, 2**70).size == 0  # past int64: no arithmetic
 
     def test_unit_filter_reads_only_primes_up_to_g1g2(self, monkeypatch):
         # a prime past |g1 g2| cannot divide it; a g1 g2 past every prime tests them all
@@ -357,10 +369,47 @@ class TestSieve:
         mod_vec = census._mod_vec
         monkeypatch.setattr(census, "_mod_vec", lambda n, mod: sizes.append(mod.size) or mod_vec(n, mod))
         base_primes, odd = _small_primes(100), _small_primes(10**4)[1:]
-        assert _unit_primes(3, 10**4, base_primes, -15).tolist() == odd[odd > 5].tolist()
-        assert _unit_primes(17, 10**4, base_primes, -15).tolist() == odd[odd >= 17].tolist()
-        assert _unit_primes(3, 10**4, base_primes, _HARD_BASE).tolist() == odd.tolist()
+        assert _units(3, 10**4, base_primes, -15).tolist() == odd[odd > 5].tolist()
+        assert _units(17, 10**4, base_primes, -15).tolist() == odd[odd >= 17].tolist()
+        assert _units(3, 10**4, base_primes, _HARD_BASE).tolist() == odd.tolist()
         assert sizes == [5, odd.size]
+
+
+class TestClassRead:
+    """_class_primes reads exactly the primes p = 1 (mod d) of a window's mask."""
+
+    X = 2 * 10**5
+
+    def _windows(self, rng: random.Random):
+        """(lo, hi, d): for odd and even d, windows of seeded width at a seeded place, one
+        for each lo mod 2d (40 of them for d > 20; both parities of lo), a one-slot window at
+        each, windows from 3, and then d at and past the window's end."""
+        for d in (1, 2, 3, 4, 5, 6, 7, 11, 12, 30, 97, 210, 1024, 4099):
+            base = 2 * d * rng.randrange(1, self.X // (2 * d) - 2)
+            for r in rng.sample(range(2 * d), min(2 * d, 40)):
+                lo = base + r
+                yield lo, min(lo + rng.randrange(0, 4 * d + 200), self.X), d
+                yield lo, lo | 1, d  # one slot: lo's odd start alone
+            yield 3, rng.randrange(3, self.X), d
+            yield 3, 3, d
+        for hi in rng.sample(range(3, self.X), 20):
+            lo = rng.randrange(0, hi + 1)
+            for d in (hi - 1, hi, hi + 1, hi + rng.randrange(1, 10**6)):
+                yield lo, hi, d
+
+    def test_matches_filter_over_seeded_windows(self):
+        primes = _small_primes(self.X)[1:]
+        base = _small_primes(math.isqrt(self.X))
+        seen = set()
+        for lo, hi, d in self._windows(random.Random(30)):
+            window = _sieve_mask(lo, hi, base)
+            inside = primes[(primes >= lo) & (primes <= hi)]
+            want = inside[(inside - 1) % d == 0]
+            assert np.array_equal(_class_primes(*window, d), want), (lo, hi, d)
+            seen.add((lo % 2, d % 2, want.size > 0))
+            seen.add("one slot" if hi == lo | 1 else "d >= hi" if d >= hi else "wide")
+        # every parity of lo and of d, each with and without a hit, and both edge cases
+        assert len(seen) == 2 * 2 * 2 + 3
 
 
 class TestRunCensus:
@@ -737,17 +786,17 @@ class TestCheckpoint:
 def _record_kernel_calls(monkeypatch) -> list:
     """Returns the (lo, hi) of every sieve call made in this process from now on."""
     calls = []
-    unit_primes = census._unit_primes
-    monkeypatch.setattr(census, "_unit_primes",
-                        lambda lo, hi, *a: calls.append((lo, hi)) or unit_primes(lo, hi, *a))
+    unit_mask = census._unit_mask
+    monkeypatch.setattr(census, "_unit_mask",
+                        lambda lo, hi, *a: calls.append((lo, hi)) or unit_mask(lo, hi, *a))
     return calls
 
 
 def _window_primes(lo: int, hi: int, base_primes: np.ndarray) -> list[np.ndarray]:
     """The primes of each window of one task over [lo, hi], in order (g = 1, a unit everywhere)."""
     windows = []
-    census._run_task(lambda run, ps: windows.append(ps) or np.zeros(1, dtype=np.int64),
-                     base_primes, 1, [(lo, hi)])
+    census._run_task(lambda run, lo, mask: windows.append(_class_primes(lo, mask, 1))
+                     or np.zeros(1, dtype=np.int64), base_primes, 1, [(lo, hi)])
     return windows
 
 
