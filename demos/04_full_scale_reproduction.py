@@ -6,9 +6,9 @@ prime, 2038074743, and compare with both the exact density and the ratio
 recorded in the source tables.  The recorded ratio divides by pi(x), every
 prime up to x (2 and the primes dividing g included), so it is printed next
 to counted / pi(x); the density is compared with counted / considered.
-With 2 workers on 2 cores, the rows (3, 12) and (2, 2) took 4.8 s and
-6.9 s (medians of 3 runs, measured 2026-10-20); each row is checkpointed,
-so the script can be interrupted and re-run at will.
+Row timings at this scale are in BENCH_census.json (record class_read, key
+full_scale); each row is checkpointed, so the script can be interrupted and
+re-run at will.
 
     python demos/04_full_scale_reproduction.py [checkpoint_dir]
 

@@ -38,10 +38,11 @@ factors to test, splits its counts at the segment ends (considered being the
 set slots of each segment) and checkpoints one JSON line per segment, so long
 runs resume after a fingerprint check; `verify_key_identity` (class d) and
 `verify_order_flip` (class 1, every prime) count on one worker, and decide
-every order property by power tests too: an identity block counts the primes
-where g^((p-1)/(rad(d) v)) has order exactly rad(d), with no Mobius sum, and
-the order flip counts the primes where its relation fails.  d is factored
-once per configuration (`CensusConfig.d_factors`), and a d >= x_limit never.
+every order property by power tests too: identity block v reads class dv
+from the mask and counts the primes where g^((p-1)/(rad(d) v)) has order
+exactly rad(d), with no Mobius sum, and the order flip counts the primes
+where its relation fails.  d is factored once per configuration
+(`CensusConfig.d_factors`), and a d >= x_limit never.
 The driver keeps no module state, so runs on threads of one process do not
 see each other.
 """
@@ -90,9 +91,8 @@ _POWMOD_BLOCK = 1 << 15
 _SIEVE_BLOCK = 1 << 20
 # The widest range one driver task takes when its segments are narrower:
 # CensusConfig's default segment size.  It bounds only the work a killed task
-# loses, not memory: a task holds one window's arrays at a time, a traced peak
-# of 6.8-7.4 MiB over a 10^7-wide run near 10^7 and 5.9-6.2 MiB over a
-# 5*10^7-wide one near 2*10^9 (measured for (2, 2) and (-9, 6)).
+# loses, not memory: a task holds one window's arrays at a time (its traced
+# peaks: BENCH_census.json, record class_read, traced_task_peak_mib).
 _TASK_SPAN = 10_000_000
 
 
@@ -621,26 +621,23 @@ def _identity_run(
     """lhs, then each v-block of verify_key_identity's rhs, over one window's primes
     p = 1 (mod d).
 
-    For v | d^inf, p = 1 (mod dv) exactly when v | (p - 1)/d, a quotient
-    taken once per window.  A block with no such prime counts 0 and runs no
-    ladder; any other block counts the y = g^((p-1)/(rad v)) of order exactly
-    rad, in 2 + omega(d) ladders.
+    Block v reads its primes p = 1 (mod dv) from the mask, a subset of class
+    d, so searchsorted finds each in ps and gathers its g mod p.  A block with
+    no such prime counts 0 and runs no ladder; any other block counts the
+    y = g^((p-1)/(rad v)) of order exactly rad, in 2 + omega(d) ladders.  A d
+    at or past the window's end reads nothing, so it may be past int64.
     """
     ps = _class_primes(lo, mask, d)
-    if not ps.size:  # with no prime left, d may be past int64 (see _class_primes)
-        return np.zeros(1 + len(vs), dtype=np.int64)
     gbar = _residues(g.g1, g.g2, ps)
     counts = [_order_hits(gbar, ps, d_factors, g.g1 * g.g2).size]
     ells = [ell for ell, _ in d_factors]
     rad = math.prod(ells)
-    quot = (ps - 1) // d
     for v in vs:
-        keep = slice(None) if v == 1 else np.flatnonzero(quot % v == 0)  # v = 1: no copy
-        sel, base = ps[keep], gbar[keep]
+        sel = _class_primes(lo, mask, d * v)
         if not sel.size:
             counts.append(0)
             continue
-        y = _powmod_vec(base, (sel - 1) // (rad * v), sel)
+        y = _powmod_vec(gbar[np.searchsorted(ps, sel)], (sel - 1) // (rad * v), sel)
         exact = _powmod_vec(y, rad, sel) == 1
         for ell in ells:
             exact &= _powmod_vec(y, rad // ell, sel) != 1

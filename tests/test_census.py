@@ -161,9 +161,14 @@ class TestVectorOrders:
             want = [valuation(2, exact_order(h, p)) for p in ps.tolist()]
             assert _two_adic_valuation(yh, ps).tolist() == want
 
+    # 256-slot windows: about 39 over [3, x], so each block's class read p = 1 (mod dv) and its
+    # gather of g mod p from class d meet the window edges at every phase
+    @pytest.mark.parametrize("block", [census._SIEVE_BLOCK, 256],
+                             ids=[pytest.HIDDEN_PARAM, "block256"])
     @pytest.mark.parametrize("g, d", [(Fraction(8, 27), 4), (-9, 6), (7, 30), (7, 210),
                                       (Fraction(1, 2), 60)])
-    def test_key_identity_matches_order_records(self, g, d):
+    def test_key_identity_matches_order_records(self, g, d, block, monkeypatch):
+        monkeypatch.setattr(census, "_SIEVE_BLOCK", block)
         x = 20_000
         vs = divisors_of_dinfty(d, (x - 1) // d)
         lhs, blocks = 0, dict.fromkeys(vs, 0)
