@@ -104,8 +104,9 @@ def degree(kr: int, k: int, decomposition: BaseDecomposition) -> int:
 class SeriesEstimate:
     """Partial degree series with a rigorous bound on the omitted tail.
 
-    The exact density always lies in [partial, partial + tail_bound]; the
-    bound is tail_bound(g, d, vmax), the exact weighted remainder.
+    The exact density always lies in [partial, partial + tail_bound];
+    series_partial computes the bound, the exact weighted remainder, and
+    tail_bound(g, d, vmax) reads it.
     """
 
     d: int
@@ -124,6 +125,7 @@ def series_partial(
     nonnegative, so partial sums increase monotonically toward the density.
     The block at v is num[gcd(v, top)] / (unit v^2), from _class_numerators
     (the proof is at _two_adic_period); each class's sign is checked once.
+    The partial and the tail (derived at tail_bound) share 1/v^2 = weight / lcm(vs)^2.
     """
     if vmax < 1:
         raise ValueError("vmax must be positive")
@@ -134,12 +136,14 @@ def series_partial(
             raise ArithmeticError(f"negative series block at v={c} for g={dec.base}")
     vs = divisors_of_dinfty(d, vmax)
     nums = [num[math.gcd(v, top)] for v in vs]
-    den, weights = _inverse_squares(vs)
+    lcm = math.lcm(*vs)
+    den, weights = lcm * lcm, [(lcm // v) ** 2 for v in vs]
+    tail = Fraction(2 * dec.h, euler_phi(d)) * (d * s_factor(d, 1) - Fraction(sum(weights), den))
     return SeriesEstimate(
         d=d,
         vmax=vmax,
         partial=Fraction(sum(n * w for w, n in zip(weights, nums)), unit * den),
-        tail_bound=_series_tail(d, (den, weights), dec.h),
+        tail_bound=tail,
         blocks=tuple((v, Fraction(n, unit * v * v)) for v, n in zip(vs, nums)),
     )
 
@@ -231,23 +235,6 @@ def _class_numerators(
     return unit, top, num
 
 
-def _inverse_squares(vs: list[int]) -> tuple[int, list[int]]:
-    """(den, weights) with 1/vs[i]^2 = weights[i] / den, over den = lcm(vs)^2."""
-    lcm = math.lcm(*vs)
-    return lcm * lcm, [(lcm // v) ** 2 for v in vs]
-
-
-def _series_tail(d: int, squares: tuple[int, list[int]], h: int) -> Fraction:
-    """2h/phi(d) times the sum of 1/v^2 over the v | d^inf past vs, exactly.
-
-    squares = _inverse_squares(vs) for the v | d^inf up to some vmax.  The sum
-    over every v | d^inf is the Euler product prod_{l|d} l^2/(l^2-1) = d * S(d, 1);
-    the terms in vs are subtracted from it.
-    """
-    den, weights = squares
-    return Fraction(2 * h, euler_phi(d)) * (d * s_factor(d, 1) - Fraction(sum(weights), den))
-
-
 def tail_bound(
     g: BaseDecomposition | RationalBase | int | str | Fraction, d: int, vmax: int
 ) -> Fraction:
@@ -256,10 +243,11 @@ def tail_bound(
     Each block at v is at most 1/[Q(zeta_dv, g^(1/v)):Q] <= 2h/(phi(d) v^2),
     so the bound is (2h/phi(d)) times the exact sum of 1/v^2 over the
     omitted v | d^inf: 0 for d = 1, and flat between consecutive v | d^inf.
+    The sum over every v | d^inf is the Euler product
+    prod_{l|d} l^2/(l^2-1) = d * S(d, 1), and series_partial subtracts the
+    terms v <= vmax from it.
     """
-    if vmax < 1:
-        raise ValueError("vmax must be positive")
-    return _series_tail(d, _inverse_squares(divisors_of_dinfty(d, vmax)), decompose(g).h)
+    return series_partial(g, d, vmax).tail_bound
 
 
 # ---------------------------------------------------------------------------

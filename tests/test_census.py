@@ -613,7 +613,9 @@ _PINNED_CHECKPOINT = (
 class TestTaskMemory:
     """A task holds one window's arrays at a time, however wide its run."""
 
-    @pytest.mark.parametrize("g, d", [(2, 2), (-9, 6)])
+    # (-4/9, 2) runs _residues' inverse ladder over every prime of a window, the census's
+    # largest single _powmod_vec call; (10007, 4) takes the long-period path with no (g/p) table
+    @pytest.mark.parametrize("g, d", [(2, 2), (-9, 6), (Fraction(-4, 9), 2), (10007, 4)])
     def test_task_peak_is_one_window(self, g, d):
         # a task that ran its stages over the whole 10^7-wide run traced about 24 MiB
         lo, hi = 10**7, 2 * 10**7

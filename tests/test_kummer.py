@@ -135,6 +135,13 @@ class TestSeries:
     def test_prefix_of_larger_run(self):
         assert series_partial(2, 2, 1).partial == Fraction(1, 2)
 
+    def test_vmax_must_be_positive(self):
+        # one guard in series_partial serves both entry points
+        with pytest.raises(ValueError):
+            series_partial(2, 2, 0)
+        with pytest.raises(ValueError):
+            tail_bound(2, 2, 0)
+
     def test_d_one(self):
         est = series_partial(7, 1, 1)
         assert est.partial == 1
