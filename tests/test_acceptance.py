@@ -5,14 +5,18 @@ The order criterion (5) runs the census kernel itself and checks its counts
 and hit primes against SymPy's exact orders, which share no code with
 orddiv.  The census criterion (6) sieves sixteen rows to 10^8 and dominates
 the runtime of the whole suite (17.9-19.6 s of it on two cores, 2026-10-19).
-Its full-scale twin, the original experiment to FULL_SCALE_X, runs only with
-ORDDIV_FULL_SCALE=1 (timed in BENCH_full_scale.json).
+Its full-scale twin runs demos/04_full_scale_reproduction.py, the original
+experiment to FULL_SCALE_X, whose rows assert the recorded ratios; it runs
+only with ORDDIV_FULL_SCALE=1 (timed in BENCH_full_scale.json).
 """
 
 import math
 import os
+import runpy
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +48,7 @@ from orddiv.kummer import (
 from orddiv.tables import FULL_SCALE_X, TABLE_NEGATIVE, TABLE_POSITIVE
 
 ALL_ROWS = TABLE_POSITIVE + TABLE_NEGATIVE
+DEMO_04 = Path(__file__).resolve().parents[1] / "demos" / "04_full_scale_reproduction.py"
 
 
 def _report(number: int, name: str, elapsed: float, detail: str = "") -> None:
@@ -181,26 +186,14 @@ def test_criterion_6_empirical_census():
 
 @pytest.mark.skipif(os.environ.get("ORDDIV_FULL_SCALE") != "1",
                     reason="full-scale census of 16 rows; set ORDDIV_FULL_SCALE=1")
-def test_criterion_6_full_scale_census():
-    # the original experiment: x is the 10^8-th prime, and each row's recorded
-    # ratio is counted / pi(x) to 8 places, so counted must equal it times 10^8
+def test_criterion_6_full_scale_census(tmp_path, monkeypatch):
+    # the original experiment is demo 04, which asserts pi(x) == 10^8 and the
+    # recorded ratio for each row; each row leaves one checkpoint file
     start = time.time()
-    lines = []
-    for row in ALL_ROWS:
-        row_start = time.time()
-        result = run_census(
-            CensusConfig(RationalBase(row.g, 1), row.d, FULL_SCALE_X,
-                         segment_size=5 * 10**7, worker_count=2)
-        )
-        assert result.counted == Fraction(row.experimental) * 10**8, (row.g, row.d)
-        # the census leaves out 2 and the odd primes dividing g; pi(x) counts them
-        odd_g = sum(p != 2 for p in factorize(abs(row.g)).primes())
-        assert result.considered + 1 + odd_g == 10**8, (row.g, row.d)
-        lines.append(f"    g={row.g:3d} d={row.d:2d}: counted {result.counted} "
-                     f"in {time.time() - row_start:.2f}s")
-    elapsed = time.time() - start
-    print("\n".join(lines))
-    _report(6, "full-scale census", elapsed,
+    monkeypatch.setattr(sys, "argv", [str(DEMO_04), str(tmp_path)])
+    runpy.run_path(str(DEMO_04), run_name="__main__")
+    assert len(list(tmp_path.glob("*.jsonl"))) == len(ALL_ROWS)
+    _report(6, "full-scale census", time.time() - start,
             f"{len(ALL_ROWS)} rows equal the recorded ratios at x = {FULL_SCALE_X}")
 
 

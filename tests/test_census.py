@@ -36,6 +36,7 @@ from orddiv.census import (
     verify_key_identity,
     verify_order_flip,
 )
+from orddiv.kummer import series_partial
 
 
 # (2^61 - 1)(2^89 - 1), a product of two primes out of Pollard-Brent's reach
@@ -897,6 +898,35 @@ class TestKeyIdentity:
         assert report.holds
         assert report.lhs == run_census(CensusConfig(RationalBase(2, 1), 2, x)).counted
         assert verify_order_flip(3, x)
+
+
+# route 2 (the degree series) against route 3 (the census), one v block at a time;
+# the pairs, x, the floor on a block's expected count and the |z| bound were fixed
+# before the first run
+_BLOCK_PAIRS = [
+    (2, 2), (2, 4), (2, 8), (3, 12), (-2, 6), (-4, 2), (-9, 6), (7, 210),
+    (Fraction(-4, 9), 12), (Fraction(1, 2), 60), (10007, 4), (-4, 4), (5, 40), (Fraction(8, 27), 4),
+]
+_BLOCK_X, _BLOCK_FLOOR, _BLOCK_Z = 10**7, 20, 4.5
+
+
+def test_identity_blocks_match_series_blocks():
+    # the identity's block at v counts the considered primes with (r_p, d^inf) = v,
+    # and the series' block at v is their density among all primes, so each count
+    # is binomial with n = considered and q = the series block (Lenstra, 1977)
+    checked = 0
+    for g, d in _BLOCK_PAIRS:
+        report = verify_key_identity(g, d, _BLOCK_X)
+        n = run_census(CensusConfig(g, d, _BLOCK_X)).considered
+        q = dict(series_partial(g, d, (_BLOCK_X - 1) // d).blocks)
+        assert q.keys() == dict(report.blocks).keys(), (g, d)
+        for v, count in report.blocks:
+            expected = n * q[v]
+            if expected >= _BLOCK_FLOOR:
+                z = (count - expected) / math.sqrt(expected * (1 - q[v]))
+                assert abs(z) <= _BLOCK_Z, (g, d, v, count, float(expected), float(z))
+                checked += 1
+    assert checked >= 100
 
 
 class TestOrderFlip:
