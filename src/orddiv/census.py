@@ -41,8 +41,8 @@ runs resume after a fingerprint check; `verify_key_identity` (class d) and
 every order property by power tests too: identity block v reads class dv
 from the mask and counts the primes where g^((p-1)/(rad(d) v)) has order
 exactly rad(d), with no Mobius sum, and the order flip counts the primes
-where its relation fails.  d is factored once per configuration
-(`CensusConfig.d_factors`), and a d >= x_limit never.
+where (-g)^m != -(g^m), m the odd part of p - 1.  d is factored once per
+configuration (`CensusConfig.d_factors`), and a d >= x_limit never.
 The driver keeps no module state, so runs on threads of one process do not
 see each other.
 """
@@ -603,18 +603,6 @@ class KeyIdentityReport:
         return self.lhs == self.rhs
 
 
-def _two_adic_valuation(y: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """v_2 of the order of y modulo p, elementwise, for y of 2-power order modulo p.
-
-    That order is 2^k for the least k with y^(2^k) = 1, found by repeated squaring.
-    """
-    val = np.zeros(ps.size, dtype=np.int64)
-    while (live := y != 1).any():
-        val += live
-        y = y * y % ps
-    return val
-
-
 def _identity_run(
     g: RationalBase, d: int, d_factors, vs: tuple[int, ...], run, lo: int, mask: np.ndarray
 ) -> np.ndarray:
@@ -671,12 +659,12 @@ def verify_key_identity(
 
 
 def _flip_run(g: RationalBase, run, lo: int, mask: np.ndarray) -> np.ndarray:
-    """The number of primes of one window where verify_order_flip's relation fails, as
-    an array of one count."""
+    """The number of primes of one window where (-g)^m != -(g^m), m the odd part of
+    p - 1, as an array of one count: each side takes its own g mod p and ladder."""
     ps = _class_primes(lo, mask, 1)
-    y = _powmod_vec(_residues(g.g1, g.g2, ps), _strip_vec(ps - 1, 2), ps)
-    t, t_neg = _two_adic_valuation(y, ps), _two_adic_valuation(ps - y, ps)
-    return np.count_nonzero(t_neg != np.where(t == 0, 1, np.where(t == 1, 0, t)), keepdims=True)
+    m = _strip_vec(ps - 1, 2)
+    y, y_neg = (_powmod_vec(_residues(g1, g.g2, ps), m, ps) for g1 in (g.g1, -g.g1))
+    return np.count_nonzero(y + y_neg != ps, keepdims=True)
 
 
 def verify_order_flip(g: RationalBase | int | str | Fraction, x: int) -> bool:
@@ -686,8 +674,11 @@ def verify_order_flip(g: RationalBase | int | str | Fraction, x: int) -> bool:
     whether ord_p(g) is odd, 2 mod 4, or divisible by 4.  As g^2 = (-g)^2,
     the odd parts of the two orders agree, so the relation is one between
     their 2-adic valuations: 0 -> 1, 1 -> 0, and t -> t for t >= 2.  With m
-    the odd part of p - 1 and y = g^m, the valuation for g is that of the
-    order of y; as m is odd, (-g)^m = p - y, so one ladder serves both.
+    the odd part of p - 1, these are those of the orders of y = g^m and of
+    (-g)^m, which is -y as m is odd.  -1 is the only element of order 2, so
+    -y has order 2 at y = 1 and order 1 at y = -1; at y of order 2^t, t >= 2,
+    -y = y^(1 + 2^(t-1)) has order 2^t.  So the check computes both sides of
+    (-g)^m = -(g^m) at every prime, each from its own g mod p.
     """
     config = CensusConfig(g, 1, x)
     if config.g.g1 < 0:

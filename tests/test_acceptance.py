@@ -4,7 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -rA` to see the summary lines.
 The order criterion (5) runs the census kernel itself and checks its counts
 and hit primes against SymPy's exact orders, which share no code with
 orddiv.  The census criterion (6) sieves sixteen rows to 10^8 and dominates
-the runtime of the whole suite (17.9-19.6 s of it on two cores, 2026-10-19).
+the runtime of the whole suite.
 Its full-scale twin runs demos/04_full_scale_reproduction.py, the original
 experiment to FULL_SCALE_X, whose rows assert the recorded ratios; it runs
 only with ORDDIV_FULL_SCALE=1 (timed in BENCH_full_scale.json).

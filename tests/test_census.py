@@ -30,7 +30,6 @@ from orddiv.census import (
     _sieve_mask,
     _small_primes,
     _strip_vec,
-    _two_adic_valuation,
     _unit_mask,
     run_census,
     verify_key_identity,
@@ -150,17 +149,6 @@ class TestVectorOrders:
 
         assert _strip_vec(values, q).tolist() == [strip(v) for v in values.tolist()]
         assert np.array_equal(values, before)
-
-    @pytest.mark.parametrize("g", [2, -3, Fraction(1, 2), 2**70 + 1])
-    def test_two_adic_valuation_matches_full_order(self, g):
-        # y = g^m and p - y = (-g)^m for m the odd part of p - 1
-        base = RationalBase.from_value(Fraction(g))
-        ps = _small_primes(20_000)[1:]
-        ps = ps[[(base.g1 * base.g2) % p != 0 for p in ps.tolist()]]
-        y = _powmod_vec(_residues(base.g1, base.g2, ps), _strip_vec(ps - 1, 2), ps)
-        for h, yh in ((Fraction(g), y), (-Fraction(g), ps - y)):
-            want = [valuation(2, exact_order(h, p)) for p in ps.tolist()]
-            assert _two_adic_valuation(yh, ps).tolist() == want
 
     # 256-slot windows: about 39 over [3, x], so each block's class read p = 1 (mod dv) and its
     # gather of g mod p from class d meet the window edges at every phase
@@ -429,8 +417,8 @@ class TestRunCensus:
 
     def test_d_one_runs_no_residue_ladder(self, monkeypatch):
         # every prime counts at d = 1, so the census computes no g mod p (for 1/2, an inverse
-        # ladder); a d = 2 census and both verifiers, which read g mod p, compute it once per
-        # window, here one per task
+        # ladder); a d = 2 census and the identity compute it once per window, here one per
+        # task, and the flip computes g and then -g mod p
         calls = []
         residues = census._residues
         monkeypatch.setattr(census, "_residues", lambda *a: calls.append(a[:2]) or residues(*a))
@@ -439,7 +427,7 @@ class TestRunCensus:
         run_census(CensusConfig(Fraction(1, 2), 2, 30_000, segment_size=10**4))  # one task
         assert verify_order_flip(Fraction(1, 2), 30_000)
         assert verify_key_identity(Fraction(1, 2), 1, 30_000).lhs == 3244
-        assert calls == [(1, 2)] * 3
+        assert calls == [(1, 2), (1, 2), (-1, 2), (1, 2)]
         calls.clear()
         monkeypatch.setattr(census, "_TASK_SPAN", 2 * 10**4)  # a task of 2 segments, then of 1
         run_census(CensusConfig(Fraction(1, 2), 1, 30_000, segment_size=10**4))
@@ -949,13 +937,13 @@ class TestOrderFlip:
 
     @pytest.mark.parametrize("g", [2, 3, Fraction(3, 5)])
     def test_examines_every_considered_prime(self, g, monkeypatch):
-        # the relation holds at every prime, so only a count shows a prime the flip skipped;
-        # _flip_run takes the valuations of g and -g at each prime it examines
+        # the identity holds at every prime, so only a count shows a prime the flip skipped;
+        # _flip_run reads g and -g mod p at each prime it examines
         considered = run_census(CensusConfig(g, 1, 200_000)).considered
         examined = []
-        valuation = census._two_adic_valuation
-        monkeypatch.setattr(census, "_two_adic_valuation",
-                            lambda y, ps: examined.append(ps.size) or valuation(y, ps))
+        residues = census._residues
+        monkeypatch.setattr(census, "_residues",
+                            lambda g1, g2, ps: examined.append(ps.size) or residues(g1, g2, ps))
         default_span = census._TASK_SPAN
         kernel_calls = _split_verifier_segments(monkeypatch)
         # one run of all 20 segments, then 20 runs of one
@@ -965,6 +953,32 @@ class TestOrderFlip:
             assert (len(kernel_calls), sum(examined)) == (runs, 2 * considered)
             kernel_calls.clear()
             examined.clear()
+
+    def test_fails_when_residues_drop_the_sign(self, monkeypatch):
+        # -g mod p read as g mod p gives (-g)^m = g^m, never -(g^m) at an odd p
+        residues = census._residues
+        monkeypatch.setattr(census, "_residues", lambda g1, g2, ps: residues(abs(g1), g2, ps))
+        assert verify_order_flip(3, 10**5) is False
+
+    def test_negative_base_counts_follow_the_flip(self):
+        # route 3's counts obey the flip prime by prime, so exactly at every x: for d = 2k, k odd,
+        # d | ord_p(-g) exactly when k | ord_p(g) and v2(ord_p g) != 1, so
+        # N_-g(d) = N_g(d/2) - N_g(d) + N_g(2d); for every other d, N_-g(d) = N_g(d)
+        x = 10**6
+
+        @functools.cache
+        def census_of(g, d):
+            result = run_census(CensusConfig(g, d, x))
+            return result.counted, result.considered
+
+        for g in (2, 3, 4, 9, 12, Fraction(1, 2), Fraction(4, 9), Fraction(8, 27)):
+            for d in (1, 2, 3, 4, 6, 8, 10, 12, 30):
+                counted, considered = census_of(-g, d)
+                if d % 4 == 2:
+                    want = census_of(g, d // 2)[0] - census_of(g, d)[0] + census_of(g, 2 * d)[0]
+                else:
+                    want = census_of(g, d)[0]
+                assert (counted, considered) == (want, census_of(g, d)[1]), (g, d)
 
     @pytest.mark.parametrize("g", [3, Fraction(3, 5)])
     def test_segment_split_matches_one_segment(self, g, monkeypatch):
